@@ -21,7 +21,8 @@ from repro import CMOS_5UM, synthesize
 from repro.cli import package_version
 from repro.opamp.testcases import paper_test_cases
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_synth.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_JSON = ROOT / "BENCH_synth.json"
 
 
 def _synthesize_all():
@@ -119,18 +120,22 @@ def _dc_batch_measurements(side=32):
     result cache stays off throughout, so every measured solve is a
     genuine cold evaluation.
     """
-    import os
+    import contextlib
+    import sys
 
     from repro.batch import corner_operating_points
     from repro.obs import Tracer
 
+    # The scalar reference simulator is a test oracle under tests/.
+    sys.path.insert(0, str(ROOT))
+    from tests.numeric_reference import reference_backend
+
     measurements = {}
-    for backend, forced in (("scalar", True), ("vectorized", False)):
-        if forced:
-            os.environ["REPRO_DENSE_ASSEMBLY"] = "1"
-        else:
-            os.environ.pop("REPRO_DENSE_ASSEMBLY", None)
-        try:
+    for backend, context in (
+        ("scalar", reference_backend),
+        ("vectorized", contextlib.nullcontext),
+    ):
+        with context():
             corner_operating_points(_bench_mesh(4), CMOS_5UM)  # warm-up
             circuit = _bench_mesh(side)
             tracer = Tracer()
@@ -143,8 +148,6 @@ def _dc_batch_measurements(side=32):
                 for name in ("dc.lu_solves", "dc.newton.iterations", "dc.solves")
             }
             measurements[backend] = (wall_ms, counters, results)
-        finally:
-            os.environ.pop("REPRO_DENSE_ASSEMBLY", None)
     return measurements
 
 
@@ -200,7 +203,7 @@ def test_dc_batch_vectorized_speedup(once, benchmark):
 
 #: The bundled foreign decks the TOPO6xx acceptance criterion names.
 BUNDLED_DECKS = ("ota_5t.sp", "comparator.sp")
-FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def _topology_span_ms(circuit):

@@ -1,12 +1,11 @@
 """Corner-batched point evaluation for the batch layer.
 
 :func:`corner_operating_points` is the batch-facing face of
-:func:`repro.simulator.batched.stacked_operating_points`: given one
+:func:`repro.simulator.dc.stacked_operating_points`: given one
 circuit and a base process, it expands the requested corner names via
 :meth:`~repro.process.parameters.ProcessParameters.corner` (the same
 expansion :func:`repro.batch.grid.build_tasks` applies to task grids)
-and solves every corner's DC operating point as a single
-matrix-stacked call.
+and solves every corner's DC operating point as one Newton batch.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Dict, Optional, Sequence
 from ..circuit.netlist import Circuit
 from ..errors import SpecificationError
 from ..process.parameters import ProcessParameters
-from ..simulator.batched import stacked_operating_points
+from ..simulator.dc import stacked_operating_points
 from ..simulator.mna import OperatingPointResult
 from .grid import CORNERS
 
@@ -30,7 +29,7 @@ def corner_operating_points(
     initial_guess: Optional[Dict[str, float]] = None,
     max_iterations: int = 150,
 ) -> Dict[str, OperatingPointResult]:
-    """All process corners of one circuit solved as one stacked call.
+    """All process corners of one circuit solved as one Newton batch.
 
     Args:
         circuit: the netlist, shared by every corner.

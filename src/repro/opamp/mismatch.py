@@ -66,8 +66,6 @@ def device_offset_sensitivities(amp: DesignedOpAmp) -> Dict[str, float]:
     if gain <= 0:
         raise SimulationError("no differential gain; cannot refer offsets")
 
-    omega = 2.0 * math.pi * _F_DC
-    matrix, _ = system.assemble_ac(omega, op.device_ops)
     mosfets = system.circuit.mosfets
     rhs = np.zeros((system.size, len(mosfets)), dtype=complex)
     gms = []
@@ -84,7 +82,7 @@ def device_offset_sensitivities(amp: DesignedOpAmp) -> Dict[str, float]:
             rhs[d, col] -= 1.0
         if s >= 0:
             rhs[s, col] += 1.0
-    solution = np.linalg.solve(matrix, rhs)
+    solution = system.solve_ac(np.array([_F_DC]), op.device_ops, rhs)[0]
     transfers = np.abs(solution[out_index, :])
     return {
         element.name: float(abs(gms[col]) * transfers[col] / gain)

@@ -18,7 +18,6 @@ from ..errors import SimulationError
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from .assembly import dense_assembly_forced, solve_linear
 from .mna import MnaSystem, OperatingPointResult
 
 __all__ = ["ACResult", "ac_analysis", "log_frequencies"]
@@ -110,7 +109,9 @@ def ac_analysis(
     with obs_span(
         f"ac:{circuit.name}", category="sim", points=int(freqs.size)
     ):
-        solution = _solve_ac_grid(system, freqs, op, source_overrides)
+        solution = system.solve_ac(
+            freqs, op.device_ops, system.stamp_plan.ac_rhs(source_overrides)
+        )
         metric_count("ac.analyses")
         metric_count("ac.points", n=int(freqs.size))
         metric_count("ac.lu_solves", n=int(freqs.size))
@@ -119,59 +120,3 @@ def ac_analysis(
     }
     return ACResult(frequencies=freqs, phasors=phasors)
 
-
-def _solve_ac_loop(
-    system: MnaSystem,
-    freqs: np.ndarray,
-    op: OperatingPointResult,
-    source_overrides: Optional[Dict[str, complex]],
-) -> np.ndarray:
-    """Per-frequency assemble + dense solve (the reference path; also
-    the fallback that localizes a failure to its frequency)."""
-    solution = np.zeros((freqs.size, system.size), dtype=complex)
-    for k, frequency in enumerate(freqs):
-        omega = 2.0 * np.pi * frequency
-        matrix, rhs = system.assemble_ac(omega, op.device_ops, source_overrides)
-        try:
-            solution[k] = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SimulationError(
-                f"AC solve failed at {frequency:g} Hz: {exc}"
-            ) from exc
-    return solution
-
-
-def _solve_ac_grid(
-    system: MnaSystem,
-    freqs: np.ndarray,
-    op: OperatingPointResult,
-    source_overrides: Optional[Dict[str, complex]],
-) -> np.ndarray:
-    """Solve the whole sweep: one matrix-stacked batched solve for
-    small systems, cached-pattern sparse LU per point for large ones,
-    the scalar reference loop under ``REPRO_DENSE_ASSEMBLY=1``."""
-    if dense_assembly_forced():
-        return _solve_ac_loop(system, freqs, op, source_overrides)
-    plan = system.stamp_plan
-    omegas = 2.0 * np.pi * freqs
-    overrides = {k.lower(): v for k, v in (source_overrides or {}).items()}
-    g_vals, c_vals = plan.ac_entry_values(op.device_ops)
-    rhs = plan.ac_rhs(overrides)
-    if system.use_sparse:
-        solution = np.zeros((freqs.size, system.size), dtype=complex)
-        for k, omega in enumerate(omegas):
-            matrix = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
-            try:
-                solution[k] = solve_linear(matrix, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    f"AC solve failed at {freqs[k]:g} Hz: {exc}"
-                ) from exc
-        return solution
-    stack = plan.assemble_ac_stacked(omegas, g_vals, c_vals)
-    rhs_stack = np.tile(rhs, (freqs.size, 1))[:, :, None]
-    try:
-        return np.linalg.solve(stack, rhs_stack)[..., 0]
-    except np.linalg.LinAlgError:
-        # Re-run point by point so the error names the frequency.
-        return _solve_ac_loop(system, freqs, op, source_overrides)

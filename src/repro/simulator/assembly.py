@@ -1,48 +1,35 @@
 """Vectorized array-oriented MNA assembly: the simulator's hot path.
 
-The scalar reference stampers in :mod:`repro.simulator.mna` walk
-``circuit.elements`` one device at a time and accumulate into dense
-matrices through Python closures.  That is the right *specification* --
-obvious, auditable, byte-for-byte pinned by the golden suite -- but it
-is O(elements) Python bytecode per Newton iteration and O(n^2) memory
-traffic per assembly.
-
 This module compiles a circuit's stamp pattern **once** per
 :class:`~repro.simulator.mna.MnaSystem` into a :class:`StampPlan`:
 
 * devices grouped by type into index/value arrays (resistor terminal
   indices, MOSFET terminal indices, source rows...);
 * one global COO entry list per assembly kind (DC Jacobian, DC
-  residual, AC matrix) recorded in **exactly** the scalar stamping
-  order, so a single ``np.add.at`` scatter reproduces the reference
-  accumulation bit for bit (``np.add.at`` applies duplicate indices
-  sequentially in entry order);
+  residual, AC matrix) recorded in the order an element-by-element
+  stamper would apply it, so a single ``np.add.at`` scatter reproduces
+  that accumulation bit for bit (``np.add.at`` applies duplicate
+  indices sequentially in entry order);
 * a cached symbolic CSC layout (:class:`_SparsePattern`) -- computed
   once and reused across every Newton iteration and every retry-ladder
   rung that shares the system -- so large circuits factor with
   ``scipy.sparse.linalg.splu`` instead of dense LU.
 
-Dispatch policy (see :meth:`MnaSystem.assemble_dc_system`):
+Systems below :data:`SPARSE_THRESHOLD` unknowns assemble dense and
+solve with ``np.linalg.solve``; every bundled op amp is in this tier.
+Larger systems (flattened hierarchies, foreign decks, meshes) assemble
+straight into CSC and solve via ``splu``.  The element-by-element
+stampers the plan is differential-tested against live in the test
+suite (``tests/numeric_reference.py``), not here.
 
-* ``REPRO_DENSE_ASSEMBLY=1`` forces the scalar reference path
-  everywhere -- the escape hatch the differential oracle and the
-  golden byte-identity suite run both backends through;
-* systems below :func:`sparse_threshold` unknowns (default 64, env
-  ``REPRO_SPARSE_THRESHOLD``) assemble vectorized-dense and solve with
-  ``np.linalg.solve`` -- bit-identical to the reference, so every
-  bundled op amp, golden record and cache key is unchanged;
-* larger systems (flattened hierarchies, foreign decks, meshes)
-  assemble straight into CSC and solve via ``splu``.
-
-:func:`solve_linear` gives both backends one error taxonomy: a SuperLU
+:func:`solve_linear` gives both tiers one error taxonomy: a SuperLU
 failure is re-raised as :class:`numpy.linalg.LinAlgError`, so the
-retry ladder's singular-Jacobian handling is backend-agnostic (chaos
+retry ladder's singular-Jacobian handling is tier-agnostic (chaos
 site ``dc.sparse`` injects exactly that failure).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,42 +50,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..devices.mosfet import MosfetModel, MosfetOperatingPoint
     from .mna import MnaSystem
 
-__all__ = [
-    "DENSE_ASSEMBLY_ENV",
-    "SPARSE_THRESHOLD_ENV",
-    "DEFAULT_SPARSE_THRESHOLD",
-    "StampPlan",
-    "dense_assembly_forced",
-    "sparse_threshold",
-    "solve_linear",
-]
+__all__ = ["SPARSE_THRESHOLD", "StampPlan", "solve_linear"]
 
-#: Set to ``"1"`` to force the scalar reference assembly + dense LU
-#: everywhere (the differential-testing escape hatch).
-DENSE_ASSEMBLY_ENV = "REPRO_DENSE_ASSEMBLY"
-#: Unknown-count at which assembly/solves go sparse.
-SPARSE_THRESHOLD_ENV = "REPRO_SPARSE_THRESHOLD"
-DEFAULT_SPARSE_THRESHOLD = 64
-
-
-def dense_assembly_forced() -> bool:
-    """True when the legacy scalar-dense reference path is forced."""
-    return os.environ.get(DENSE_ASSEMBLY_ENV, "") == "1"
-
-
-def sparse_threshold() -> int:
-    """Unknown count at or above which the sparse backend engages."""
-    raw = os.environ.get(SPARSE_THRESHOLD_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_SPARSE_THRESHOLD
-    except ValueError:
-        return DEFAULT_SPARSE_THRESHOLD
+#: Unknown count at or above which assembly and solves go sparse.
+SPARSE_THRESHOLD = 64
 
 
 def solve_linear(jacobian, rhs: np.ndarray) -> np.ndarray:
     """Solve ``jacobian @ delta = rhs`` under one error taxonomy.
 
-    Dense ndarray -> ``np.linalg.solve``; CSC matrix -> ``splu``.
+    Dense ndarray -> ``np.linalg.solve``, a ``(B, n, n)`` stack with
+    ``(B, n)`` right-hand sides included (one LU per member, one call);
+    CSC matrix -> ``splu``.
     SuperLU reports singularity as ``RuntimeError`` (and degenerate
     inputs as ``ValueError``); both are translated to
     :class:`numpy.linalg.LinAlgError` so callers -- ``newton_solve``,
@@ -113,6 +76,8 @@ def solve_linear(jacobian, rhs: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError(
                 f"sparse LU factorization failed: {exc}"
             ) from exc
+    if jacobian.ndim == 3:
+        return np.linalg.solve(jacobian, rhs[..., None])[..., 0]
     return np.linalg.solve(jacobian, rhs)
 
 
@@ -211,10 +176,10 @@ _AG_STATIC, _AG_MOS_G, _AG_MOS_C = range(3)
 class StampPlan:
     """Per-system compiled stamp pattern (see module docstring).
 
-    Index arrays are built once in ``__init__`` by replaying the exact
-    element walk of the scalar reference stampers; numeric assemblies
-    then only touch NumPy.  The AC layout is built lazily on first AC
-    assembly (DC solves never need it).
+    Index arrays are built once in ``__init__`` by walking the elements
+    in stamp order; numeric assemblies then only touch NumPy.  The AC
+    layout is built lazily on first AC assembly (DC solves never need
+    it).
     """
 
     def __init__(self, system: "MnaSystem"):
@@ -238,7 +203,7 @@ class StampPlan:
         mos_s: List[int] = []
         mos_b: List[int] = []
 
-        # gmin shunt on every node comes first in the reference walk.
+        # gmin shunt on every node comes first in stamp order.
         for i in range(self.n_nodes):
             jac.add(_JG_GMIN, i, i)
             res.add(_FG_GMIN, i, i)
@@ -376,7 +341,8 @@ class StampPlan:
         np.ndarray,
     ]:
         """Per-device model evaluation (kept scalar for bit-identity
-        with the reference path), results collected into arrays."""
+        with the element-by-element stamper), results collected into
+        arrays."""
         ops: Dict[str, "MosfetOperatingPoint"] = {}
         count = len(self.mos_bind)
         ids = np.empty(count)
@@ -448,7 +414,7 @@ class StampPlan:
     def assemble_dc_dense(
         self, x: np.ndarray, gmin: float, source_scale: float
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, "MosfetOperatingPoint"]]:
-        """Vectorized dense assembly, bit-identical to the reference."""
+        """Vectorized dense assembly."""
         f_vals, j_vals, ops = self._dc_entry_values(x, gmin, source_scale)
         assert j_vals is not None
         jacobian = np.zeros((self.size, self.size))
@@ -485,9 +451,9 @@ class StampPlan:
     # AC assembly
     # ------------------------------------------------------------------
     def _build_ac(self) -> None:
-        """Record the AC entry list (scalar ``assemble_ac`` walk order:
-        elements first, then voltage-source rows; each admittance stamp
-        is (a,a),(b,b),(a,b),(b,a))."""
+        """Record the AC entry list (stamp order: elements first, then
+        voltage-source rows; each admittance stamp is
+        (a,a),(b,b),(a,b),(b,a))."""
         system = self.system
         index_of = system.index_of
         rec = _EntryRecorder()
@@ -629,10 +595,12 @@ class StampPlan:
             ).ravel()
         return g_vals, c_vals
 
-    def ac_rhs(self, overrides: Dict[str, complex]) -> np.ndarray:
-        """Excitation vector (frequency-independent)."""
+    def ac_rhs(self, overrides: Optional[Dict[str, complex]] = None) -> np.ndarray:
+        """Excitation vector (frequency-independent); ``overrides`` maps
+        source names to AC amplitudes replacing the netlist ``ac`` values."""
         if not self._ac_ready:
             self._build_ac()
+        overrides = {k.lower(): v for k, v in (overrides or {}).items()}
         rhs = np.zeros(self.size, dtype=complex)
         for name, p, n, ac in self._isrc_rhs:
             amplitude = overrides.get(name, ac)
@@ -643,23 +611,6 @@ class StampPlan:
         for name, row, ac in self._vs_rhs:
             rhs[row] = overrides.get(name, ac)
         return rhs
-
-    def assemble_ac_dense(
-        self,
-        omega: float,
-        device_ops: Dict[str, "MosfetOperatingPoint"],
-        overrides: Dict[str, complex],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized dense AC matrix, bit-identical to the reference."""
-        g_vals, c_vals = self.ac_entry_values(device_ops)
-        entry_values = g_vals + (1j * omega) * c_vals
-        matrix = np.zeros((self.size, self.size), dtype=complex)
-        np.add.at(
-            matrix,
-            (self.ac_rows_valid, self.ac_cols_valid),
-            entry_values[self.ac_mask],
-        )
-        return matrix, self.ac_rhs(overrides)
 
     def assemble_ac_stacked(
         self,

@@ -23,8 +23,12 @@ terminal :class:`~repro.errors.ConvergenceError` carries the
 escalation history can be recorded into a
 :class:`~repro.kb.trace.DesignTrace`.
 
-All MOSFET evaluations flow through :meth:`MnaSystem.assemble_dc`, so
-the solver is model-agnostic.  The solver cooperates with the
+The Newton iteration itself (:func:`newton_batch`) runs over a batch of
+systems -- one circuit on several process corners solves as one batch
+(:func:`stacked_operating_points`), a single solve is a batch of one.
+
+All MOSFET evaluations flow through :meth:`MnaSystem.assemble_dc_system`,
+so the solver is model-agnostic.  The solver cooperates with the
 resilience layer: an ambient :class:`~repro.resilience.Budget` is
 charged per Newton iteration, and the ``dc.newton`` /
 ``dc.newton.nan`` fault points make every escalation path exercisable
@@ -35,7 +39,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -54,7 +69,13 @@ from ..resilience.faults import fault_point
 from .assembly import solve_linear
 from .mna import MnaSystem, MosfetOperatingPoint, OperatingPointResult
 
-__all__ = ["operating_point", "newton_solve", "build_dc_ladder"]
+__all__ = [
+    "operating_point",
+    "stacked_operating_points",
+    "newton_solve",
+    "newton_batch",
+    "build_dc_ladder",
+]
 
 #: Absolute voltage tolerance, volts.
 VTOL = 1e-9
@@ -79,6 +100,176 @@ class _Solved:
     iterations: int
 
 
+#: One batch member's Newton outcome: its converged state or its failure.
+NewtonOutcome = Union[_Solved, ConvergenceError]
+
+
+def newton_batch(
+    systems: Sequence[MnaSystem],
+    x0s: Sequence[np.ndarray],
+    gmin: float,
+    source_scale: float,
+    max_iterations: int = 150,
+    max_step: Optional[float] = MAX_STEP,
+    diverge_after: Optional[int] = None,
+    budget: Optional[Budget] = None,
+    block: str = "dc",
+) -> List[NewtonOutcome]:
+    """(Optionally damped) NR iteration at fixed gmin / source level over
+    a batch of same-size systems.
+
+    Every member iterates on its own -- its own damping, convergence
+    test and divergence streak -- but a dense batch shares one stacked
+    LU call per iteration.  A member that converges or fails leaves the
+    batch and the others carry on, so each member takes exactly the
+    trajectory it would take alone.  A batch of one is
+    :func:`newton_solve`.
+
+    Args:
+        systems: one or more systems of equal size (e.g. one circuit on
+            several process corners).
+        x0s: start vector per member.
+        max_step: largest voltage move per iteration (None = undamped).
+        diverge_after: a member bails out after this many *consecutive*
+            iterations of growing residual norm (None = never; used by
+            the cheap plain rung so divergence fails fast).
+        budget: explicit iteration/wall budget, charged one iteration
+            per active member; when None the ambient budget installed
+            by :meth:`repro.resilience.Budget.active` is charged
+            instead, so a synthesis-level deadline reaches this inner
+            loop without parameter threading.
+        block: context for budget errors.
+
+    Returns:
+        One outcome per member, in order: its converged state, or the
+        :class:`ConvergenceError` it failed with (iteration limit,
+        numerically singular Jacobian, non-finite update, divergence).
+
+    Raises:
+        BudgetExceeded: when the governing budget trips mid-iteration.
+    """
+    try:
+        fault_point("dc.newton")
+    except ConvergenceError as exc:
+        return [exc] * len(systems)
+    if budget is None:
+        budget = current_budget()
+    n_nodes = systems[0].n_nodes
+    xs = [x0.copy() for x0 in x0s]
+    outcomes: List[Optional[NewtonOutcome]] = [None] * len(systems)
+    growth_streaks = [0] * len(systems)
+    last_norms = [np.inf] * len(systems)
+    active = list(range(len(systems)))
+    for iteration in range(1, max_iterations + 1):
+        if not active:
+            break
+        if budget is not None:
+            budget.charge_newton(len(active), block=block, step="newton")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # Vectorized assembly; dense ndarray for small systems,
+            # CSC above the sparse threshold (the CSC symbolic layout
+            # is cached on the system's StampPlan, so it is shared
+            # across iterations and across retry-ladder rungs).
+            assembled = [
+                systems[i].assemble_dc_system(xs[i], gmin, source_scale)
+                for i in active
+            ]
+            deltas = _newton_updates(
+                [jacobian for _, jacobian, _ in assembled],
+                [-residual for residual, _, _ in assembled],
+            )
+            poisoned = (
+                any(not isinstance(d, np.linalg.LinAlgError) for d in deltas)
+                and fault_point("dc.newton.nan") is not None
+            )
+            still_active = []
+            for i, delta in zip(active, deltas):
+                if isinstance(delta, np.linalg.LinAlgError):
+                    failure = ConvergenceError(
+                        f"singular Jacobian: {delta}", iteration
+                    )
+                    failure.__cause__ = delta
+                    outcomes[i] = failure
+                    continue
+                if poisoned:
+                    delta = delta * np.nan
+                if not np.all(np.isfinite(delta)):
+                    outcomes[i] = ConvergenceError(
+                        "non-finite Newton update", iteration
+                    )
+                    continue
+
+                # Damp: limit the largest voltage move per iteration.
+                worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
+                if max_step is not None and worst > max_step:
+                    delta = delta * (max_step / worst)
+                x = xs[i] = xs[i] + delta
+
+                v_converged = np.all(
+                    np.abs(delta[:n_nodes])
+                    <= VTOL + RELTOL * np.abs(x[:n_nodes])
+                )
+                # Residual check on the freshly updated point (no
+                # Jacobian work: only the residual entries are evaluated).
+                residual_new, device_ops = systems[i].assemble_dc_residual(
+                    x, gmin, source_scale
+                )
+                kcl_converged = np.all(
+                    np.abs(residual_new[:n_nodes]) <= ITOL * 10 + 1e-9
+                )
+                if v_converged and kcl_converged:
+                    outcomes[i] = _Solved(x, device_ops, iteration)
+                    continue
+
+                if diverge_after is not None:
+                    norm = (
+                        float(np.max(np.abs(residual_new[:n_nodes])))
+                        if n_nodes
+                        else 0.0
+                    )
+                    if not np.isfinite(norm) or norm > last_norms[i]:
+                        growth_streaks[i] += 1
+                        if growth_streaks[i] >= diverge_after:
+                            outcomes[i] = ConvergenceError(
+                                f"diverging: residual grew "
+                                f"{growth_streaks[i]} iterations in a row",
+                                iteration,
+                            )
+                            continue
+                    else:
+                        growth_streaks[i] = 0
+                    if np.isfinite(norm):
+                        last_norms[i] = norm
+                still_active.append(i)
+            active = still_active
+    for i in active:
+        outcomes[i] = ConvergenceError(
+            f"no convergence in {max_iterations} NR iterations "
+            f"(gmin={gmin:g}, scale={source_scale:g})",
+            max_iterations,
+        )
+    return outcomes  # type: ignore[return-value]
+
+
+def _newton_updates(
+    jacobians: List[Any], rhs: List[np.ndarray]
+) -> List[Union[np.ndarray, np.linalg.LinAlgError]]:
+    """Solve each member's Newton system, a dense batch as one stacked
+    LU call.  A member whose solve fails gets its error instead."""
+    if len(jacobians) > 1 and isinstance(jacobians[0], np.ndarray):
+        try:
+            return list(solve_linear(np.stack(jacobians), np.stack(rhs)))
+        except np.linalg.LinAlgError:
+            pass  # some member is singular: solve one by one to find it
+    updates: List[Union[np.ndarray, np.linalg.LinAlgError]] = []
+    for jacobian, b in zip(jacobians, rhs):
+        try:
+            updates.append(solve_linear(jacobian, b))
+        except np.linalg.LinAlgError as exc:
+            updates.append(exc)
+    return updates
+
+
 def newton_solve(
     system: MnaSystem,
     x0: np.ndarray,
@@ -90,18 +281,7 @@ def newton_solve(
     budget: Optional[Budget] = None,
     block: str = "dc",
 ):
-    """(Optionally damped) NR iteration at fixed gmin / source level.
-
-    Args:
-        max_step: largest voltage move per iteration (None = undamped).
-        diverge_after: bail out early after this many *consecutive*
-            iterations of growing residual norm (None = never; used by
-            the cheap plain rung so divergence fails fast).
-        budget: explicit iteration/wall budget; when None the ambient
-            budget installed by :meth:`repro.resilience.Budget.active`
-            is charged instead, so a synthesis-level deadline reaches
-            this inner loop without parameter threading.
-        block: context for budget errors.
+    """One system's NR iteration: a :func:`newton_batch` of one.
 
     Returns:
         (x, device_ops, iterations)
@@ -112,74 +292,32 @@ def newton_solve(
             non-finite.
         BudgetExceeded: when the governing budget trips mid-iteration.
     """
-    fault_point("dc.newton")
-    if budget is None:
-        budget = current_budget()
-    x = x0.copy()
-    n_nodes = system.n_nodes
-    growth_streak = 0
-    last_norm = np.inf
-    for iteration in range(1, max_iterations + 1):
-        if budget is not None:
-            budget.charge_newton(1, block=block, step="newton")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # Vectorized assembly; dense ndarray for small systems,
-            # CSC above the sparse threshold (the CSC symbolic layout
-            # is cached on the system's StampPlan, so it is shared
-            # across iterations and across retry-ladder rungs).
-            residual, jacobian, device_ops = system.assemble_dc_system(
-                x, gmin, source_scale
-            )
-            try:
-                delta = solve_linear(jacobian, -residual)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular Jacobian: {exc}", iteration
-                ) from exc
-            if fault_point("dc.newton.nan") is not None:
-                delta = delta * np.nan
-            if not np.all(np.isfinite(delta)):
-                raise ConvergenceError("non-finite Newton update", iteration)
-
-            # Damp: limit the largest voltage move per iteration.
-            v_delta = delta[:n_nodes]
-            worst = np.max(np.abs(v_delta)) if n_nodes else 0.0
-            if max_step is not None and worst > max_step:
-                delta = delta * (max_step / worst)
-            x = x + delta
-
-            v_converged = np.all(
-                np.abs(delta[:n_nodes]) <= VTOL + RELTOL * np.abs(x[:n_nodes])
-            )
-            # Residual check on the freshly updated point (no Jacobian
-            # work: only the residual entries are evaluated).
-            residual_new, device_ops = system.assemble_dc_residual(
-                x, gmin, source_scale
-            )
-            kcl_converged = np.all(
-                np.abs(residual_new[:n_nodes]) <= ITOL * 10 + 1e-9
-            )
-            if v_converged and kcl_converged:
-                return x, device_ops, iteration
-
-            if diverge_after is not None:
-                norm = float(np.max(np.abs(residual_new[:n_nodes]))) if n_nodes else 0.0
-                if not np.isfinite(norm) or norm > last_norm:
-                    growth_streak += 1
-                    if growth_streak >= diverge_after:
-                        raise ConvergenceError(
-                            f"diverging: residual grew {growth_streak} "
-                            f"iterations in a row",
-                            iteration,
-                        )
-                else:
-                    growth_streak = 0
-                last_norm = norm if np.isfinite(norm) else last_norm
-    raise ConvergenceError(
-        f"no convergence in {max_iterations} NR iterations "
-        f"(gmin={gmin:g}, scale={source_scale:g})",
+    (outcome,) = newton_batch(
+        [system],
+        [x0],
+        gmin,
+        source_scale,
         max_iterations,
+        max_step=max_step,
+        diverge_after=diverge_after,
+        budget=budget,
+        block=block,
     )
+    if isinstance(outcome, ConvergenceError):
+        raise outcome
+    return outcome.x, outcome.device_ops, outcome.iterations
+
+
+def _rung_settings(rung: str, max_iterations: int) -> Dict[str, Any]:
+    """Newton settings of the ``plain`` (undamped, short cap, early
+    divergence bail) and ``damped`` ladder rungs."""
+    if rung == "plain":
+        return {
+            "max_iterations": min(max_iterations, PLAIN_ITERATION_CAP),
+            "max_step": None,
+            "diverge_after": DIVERGE_AFTER,
+        }
+    return {"max_iterations": max_iterations}
 
 
 def build_dc_ladder(
@@ -197,25 +335,20 @@ def build_dc_ladder(
     own via ``operating_point(..., ladder_factory=...)``.
     """
 
-    def plain(last: Optional[BaseException]) -> _Solved:
-        x, ops, used = newton_solve(
-            system,
-            x0,
-            1e-12,
-            1.0,
-            min(max_iterations, PLAIN_ITERATION_CAP),
-            max_step=None,
-            diverge_after=DIVERGE_AFTER,
-            budget=budget,
-            block=block,
-        )
-        return _Solved(x, ops, used)
+    def newton_rung(rung: str) -> Callable[[Optional[BaseException]], _Solved]:
+        def solve(last: Optional[BaseException]) -> _Solved:
+            x, ops, used = newton_solve(
+                system,
+                x0,
+                1e-12,
+                1.0,
+                budget=budget,
+                block=block,
+                **_rung_settings(rung, max_iterations),
+            )
+            return _Solved(x, ops, used)
 
-    def damped(last: Optional[BaseException]) -> _Solved:
-        x, ops, used = newton_solve(
-            system, x0, 1e-12, 1.0, max_iterations, budget=budget, block=block
-        )
-        return _Solved(x, ops, used)
+        return solve
 
     def gmin_stepping(last: Optional[BaseException]) -> _Solved:
         x = x0.copy()
@@ -274,8 +407,8 @@ def build_dc_ladder(
 
     return RetryLadder(
         rungs=(
-            Rung("plain", plain, description="undamped NR, short cap"),
-            Rung("damped", damped, description="step-limited NR"),
+            Rung("plain", newton_rung("plain"), description="undamped NR, short cap"),
+            Rung("damped", newton_rung("damped"), description="step-limited NR"),
             Rung("gmin", gmin_stepping, description="gmin homotopy"),
             Rung("source", source_stepping, description="source ramp homotopy"),
         ),
@@ -374,6 +507,32 @@ def _op_from_payload(
     return result
 
 
+# ----------------------------------------------------------------------
+# Solves
+# ----------------------------------------------------------------------
+def _initial_vector(
+    system: MnaSystem, initial_guess: Optional[Dict[str, float]]
+) -> np.ndarray:
+    """Start vector: seeded node voltages, everything else 0."""
+    x0 = np.zeros(system.size)
+    for node, voltage in (initial_guess or {}).items():
+        if node in system.node_index:
+            x0[system.node_index[node]] = voltage
+    return x0
+
+
+def _count_solve(attempts: Iterable[Tuple[str, int]]) -> None:
+    """Counters of one converged solve, from its (rung, iterations)
+    attempts: one LU factor-and-solve per Newton iteration."""
+    attempts = list(attempts)
+    total = sum(iterations for _, iterations in attempts)
+    metric_count("dc.solves")
+    metric_count("dc.lu_solves", n=total)
+    metric_observe("dc.iterations_per_solve", total)
+    for rung, iterations in attempts:
+        metric_count("dc.newton.iterations", n=iterations, rung=rung)
+
+
 def operating_point(
     circuit: Circuit,
     process: ProcessParameters,
@@ -442,11 +601,7 @@ def operating_point(
             return _op_from_payload(cached, circuit)
 
     system = MnaSystem(circuit, process, vth_shifts=vth_shifts)
-    x0 = np.zeros(system.size)
-    if initial_guess:
-        for node, voltage in initial_guess.items():
-            if node in system.node_index:
-                x0[system.node_index[node]] = voltage
+    x0 = _initial_vector(system, initial_guess)
 
     block = f"dc/{circuit.name}"
     factory = ladder_factory or build_dc_ladder
@@ -475,24 +630,17 @@ def operating_point(
             if trace is not None:
                 trace.ladder(block, exc.rung or "?", f"exhausted: {exc}")
             raise
-        total = ladder_trace.total_iterations
-        solve_span.set("iterations", total)
+        solve_span.set("iterations", ladder_trace.total_iterations)
         solve_span.set("rung", ladder_trace.succeeded_on())
-        metric_count("dc.solves")
-        # One LU factor-and-solve per Newton iteration (the single
-        # np.linalg.solve in the inner loop).
-        metric_count("dc.lu_solves", n=total)
-        metric_observe("dc.iterations_per_solve", total)
+        _count_solve(
+            (attempt.rung, attempt.iterations) for attempt in ladder_trace.attempts
+        )
         metric_observe(
             "dc.solve_ms",
             (time.perf_counter() - solve_started) * 1e3,
             bounds=LATENCY_BUCKETS_MS,
             status="ok",
         )
-        for attempt in ladder_trace.attempts:
-            metric_count(
-                "dc.newton.iterations", n=attempt.iterations, rung=attempt.rung
-            )
     if trace is not None and len(ladder_trace.attempts) > 1:
         for attempt in ladder_trace.attempts:
             outcome = "converged" if attempt.ok else f"failed ({attempt.error})"
@@ -508,3 +656,73 @@ def operating_point(
     if cache is not None:
         cache.put("op", op_key, _op_to_payload(result))
     return result
+
+
+def stacked_operating_points(
+    circuit: Circuit,
+    processes: Mapping[str, ProcessParameters],
+    initial_guess: Optional[Dict[str, float]] = None,
+    max_iterations: int = 150,
+) -> Dict[str, OperatingPointResult]:
+    """DC operating points of one circuit on several processes at once.
+
+    Every process's system runs the rung a solo :func:`operating_point`
+    tries first (plain NR from a warm guess, damped NR from a cold one)
+    in one :func:`newton_batch`, so a dense batch shares one stacked LU
+    per iteration and a corner that converges there reports exactly the
+    voltages and iteration count of its solo solve.  A corner that fails
+    that rung climbs the full solo ladder.  The op cache is not used.
+
+    Args:
+        circuit: the netlist, shared by every corner.
+        processes: label -> process parameters (e.g. corner name ->
+            cornered process).
+        initial_guess / max_iterations: as for :func:`operating_point`.
+
+    Returns:
+        label -> converged :class:`OperatingPointResult`, one per entry
+        of ``processes`` (same labels, same order).
+    """
+    labels = list(processes)
+    if not labels:
+        return {}
+    circuit.validate()
+    systems = [MnaSystem(circuit, processes[label]) for label in labels]
+    x0 = _initial_vector(systems[0], initial_guess)
+    rung = "plain" if initial_guess and np.any(x0) else "damped"
+    results: Dict[str, OperatingPointResult] = {}
+    with obs_span(
+        f"dc.corners:{circuit.name}",
+        category="sim",
+        corners=len(labels),
+        nodes=systems[0].n_nodes,
+    ) as corner_span:
+        outcomes = newton_batch(
+            systems,
+            [x0] * len(systems),
+            1e-12,
+            1.0,
+            block=f"dc.corners/{circuit.name}",
+            **_rung_settings(rung, max_iterations),
+        )
+        for label, system, outcome in zip(labels, systems, outcomes):
+            if isinstance(outcome, _Solved):
+                _count_solve([(rung, outcome.iterations)])
+                results[label] = system.package_result(
+                    outcome.x, outcome.device_ops, outcome.iterations
+                )
+        corner_span.set("batched", len(results))
+        corner_span.set("fallback", len(labels) - len(results))
+        metric_count("dc.corner_batch.solves", n=len(results))
+    for label in labels:
+        if label not in results:
+            # Failed its first rung in the batch: the full escalation
+            # ladder takes over for this corner alone.
+            metric_count("dc.corner_batch.fallbacks")
+            results[label] = operating_point(
+                circuit,
+                processes[label],
+                initial_guess=initial_guess,
+                max_iterations=max_iterations,
+            )
+    return {label: results[label] for label in labels}

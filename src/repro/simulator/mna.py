@@ -5,7 +5,7 @@ with ground eliminated.  :class:`MnaSystem` binds a :class:`~repro.circuit.
 netlist.Circuit` to a :class:`~repro.process.parameters.ProcessParameters`
 (creating one :class:`~repro.devices.mosfet.MosfetModel` per transistor)
 and provides the residual/Jacobian assembly used by the DC solver and the
-complex-matrix assembly used by the AC solver.
+frequency-grid solve used by the AC, noise and mismatch analyses.
 """
 
 from __future__ import annotations
@@ -15,19 +15,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.elements import (
-    GROUND,
-    Capacitor,
-    CurrentSource,
-    Mosfet,
-    Resistor,
-    VoltageSource,
-)
+from ..circuit.elements import GROUND, VoltageSource
 from ..circuit.netlist import Circuit
 from ..devices.mosfet import MosfetModel, MosfetOperatingPoint
 from ..errors import SimulationError
 from ..process.parameters import ProcessParameters
-from .assembly import StampPlan, dense_assembly_forced, sparse_threshold
+from .assembly import SPARSE_THRESHOLD, StampPlan, solve_linear
 
 __all__ = ["MnaSystem", "OperatingPointResult"]
 
@@ -127,6 +120,8 @@ class MnaSystem:
                 process.min_drain_width,
                 process.cox,
             )
+        #: True when the system factors sparsely (CSC + ``splu``).
+        self.use_sparse = self.size >= SPARSE_THRESHOLD
         self._stamp_plan: Optional[StampPlan] = None
 
     # ------------------------------------------------------------------
@@ -142,7 +137,7 @@ class MnaSystem:
         return self.n_nodes + source_position
 
     # ------------------------------------------------------------------
-    # Assembly backend selection
+    # Nonlinear DC assembly
     # ------------------------------------------------------------------
     @property
     def stamp_plan(self) -> StampPlan:
@@ -153,29 +148,24 @@ class MnaSystem:
             self._stamp_plan = StampPlan(self)
         return self._stamp_plan
 
-    @property
-    def use_sparse(self) -> bool:
-        """True when this system should factor sparsely (large enough
-        and the dense escape hatch is not forced)."""
-        return not dense_assembly_forced() and self.size >= sparse_threshold()
-
-    # ------------------------------------------------------------------
-    # Nonlinear DC assembly
-    # ------------------------------------------------------------------
     def assemble_dc(
         self,
         x: np.ndarray,
         gmin: float = 1e-12,
         source_scale: float = 1.0,
     ) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
-        """Residual F(x) and dense Jacobian J(x) for the DC system.
+        """Residual F(x), dense Jacobian J(x) and device ops.
 
-        Dispatches to the vectorized :class:`StampPlan` scatter (the
-        default, bit-identical to the reference) or the scalar
-        reference stamper under ``REPRO_DENSE_ASSEMBLY=1``.
+        The residual convention is KCL: F[node] = sum of currents
+        *leaving* the node through elements minus injected source
+        currents; voltage source rows hold ``V(p) - V(n) - Vdc``.
+
+        Args:
+            x: current unknown vector.
+            gmin: conductance from every node to ground (homotopy aid).
+            source_scale: multiplies all independent sources (source
+                stepping).
         """
-        if dense_assembly_forced():
-            return self.assemble_dc_reference(x, gmin, source_scale)
         return self.stamp_plan.assemble_dc_dense(x, gmin, source_scale)
 
     def assemble_dc_system(
@@ -186,13 +176,10 @@ class MnaSystem:
     ):
         """Residual and Jacobian *operator* for the linear solve.
 
-        Returns ``(F, J, device_ops)`` where ``J`` is a dense ndarray
-        for small systems (or under the escape hatch) and a
-        ``scipy.sparse`` CSC matrix above the size threshold; pass it
-        to :func:`repro.simulator.assembly.solve_linear`.
+        As :meth:`assemble_dc`, except that ``J`` is a ``scipy.sparse``
+        CSC matrix when :attr:`use_sparse`; pass it to
+        :func:`repro.simulator.assembly.solve_linear`.
         """
-        if dense_assembly_forced():
-            return self.assemble_dc_reference(x, gmin, source_scale)
         if self.use_sparse:
             return self.stamp_plan.assemble_dc_sparse(x, gmin, source_scale)
         return self.stamp_plan.assemble_dc_dense(x, gmin, source_scale)
@@ -205,256 +192,58 @@ class MnaSystem:
     ) -> Tuple[np.ndarray, Dict[str, MosfetOperatingPoint]]:
         """Residual and device ops only (no Jacobian work) -- the
         post-update convergence check of the Newton loop."""
-        if dense_assembly_forced():
-            residual, _, device_ops = self.assemble_dc_reference(
-                x, gmin, source_scale
-            )
-            return residual, device_ops
         return self.stamp_plan.assemble_dc_residual(x, gmin, source_scale)
 
-    def assemble_dc_reference(
-        self,
-        x: np.ndarray,
-        gmin: float = 1e-12,
-        source_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
-        """Scalar reference stamper (the specification the vectorized
-        backend is differential-tested against).
-
-        The residual convention is KCL: F[node] = sum of currents *leaving*
-        the node through elements minus injected source currents; voltage
-        source rows hold ``V(p) - V(n) - Vdc``.
-
-        Args:
-            x: current unknown vector.
-            gmin: conductance from every node to ground (homotopy aid).
-            source_scale: multiplies all independent sources (source
-                stepping).
-
-        Returns:
-            (F, J, device_ops)
-        """
-        size = self.size
-        residual = np.zeros(size)
-        jacobian = np.zeros((size, size))
-        device_ops: Dict[str, MosfetOperatingPoint] = {}
-
-        def volt(idx: int) -> float:
-            return 0.0 if idx < 0 else float(x[idx])
-
-        def add_j(row: int, col: int, value: float) -> None:
-            if row >= 0 and col >= 0:
-                jacobian[row, col] += value
-
-        def add_f(row: int, value: float) -> None:
-            if row >= 0:
-                residual[row] += value
-
-        # gmin to ground on every node keeps the matrix non-singular.
-        for i in range(self.n_nodes):
-            residual[i] += gmin * x[i]
-            jacobian[i, i] += gmin
-
-        for element in self.circuit.elements:
-            if isinstance(element, Resistor):
-                a = self.index_of(element.node_a)
-                b = self.index_of(element.node_b)
-                g = 1.0 / element.resistance
-                v = volt(a) - volt(b)
-                add_f(a, g * v)
-                add_f(b, -g * v)
-                add_j(a, a, g)
-                add_j(a, b, -g)
-                add_j(b, a, -g)
-                add_j(b, b, g)
-            elif isinstance(element, Capacitor):
-                continue  # open at DC
-            elif isinstance(element, CurrentSource):
-                p = self.index_of(element.positive)
-                n = self.index_of(element.negative)
-                i_dc = element.dc * source_scale
-                # Current flows from positive node through the source to
-                # negative node: it *leaves* the positive node.
-                add_f(p, i_dc)
-                add_f(n, -i_dc)
-            elif isinstance(element, Mosfet):
-                self._stamp_mosfet_dc(
-                    element, x, residual, jacobian, device_ops, volt, add_f, add_j
-                )
-            elif isinstance(element, VoltageSource):
-                pass  # handled below with branch rows
-            else:  # pragma: no cover
-                raise SimulationError(f"unsupported element {type(element).__name__}")
-
-        for position, source in enumerate(self.vsources):
-            row = self.branch_index(position)
-            p = self.index_of(source.positive)
-            n = self.index_of(source.negative)
-            i_branch = float(x[row])
-            # KCL: branch current leaves the positive node.
-            add_f(p, i_branch)
-            add_f(n, -i_branch)
-            add_j(p, row, 1.0)
-            add_j(n, row, -1.0)
-            # Branch equation.
-            residual[row] = volt(p) - volt(n) - source.dc * source_scale
-            add_j(row, p, 1.0)
-            add_j(row, n, -1.0)
-
-        return residual, jacobian, device_ops
-
-    def _stamp_mosfet_dc(
-        self, element: Mosfet, x, residual, jacobian, device_ops, volt, add_f, add_j
-    ) -> None:
-        model = self.models[element.name.lower()]
-        d = self.index_of(element.drain)
-        g = self.index_of(element.gate)
-        s = self.index_of(element.source)
-        b = self.index_of(element.bulk)
-        vgs = volt(g) - volt(s)
-        vds = volt(d) - volt(s)
-        vbs = volt(b) - volt(s)
-        op = model.evaluate(vgs, vds, vbs)
-        device_ops[element.name.lower()] = op
-
-        # Drain current op.ids enters the drain and exits the source.
-        add_f(d, op.ids)
-        add_f(s, -op.ids)
-        # Partials: dId/dVg = gm, dId/dVd = gds, dId/dVb = gmbs,
-        # dId/dVs = -(gm + gds + gmbs).
-        gm, gds, gmbs = op.gm, op.gds, op.gmbs
-        g_s = -(gm + gds + gmbs)
-        add_j(d, g, gm)
-        add_j(d, d, gds)
-        add_j(d, b, gmbs)
-        add_j(d, s, g_s)
-        add_j(s, g, -gm)
-        add_j(s, d, -gds)
-        add_j(s, b, -gmbs)
-        add_j(s, s, -g_s)
-
     # ------------------------------------------------------------------
-    # AC assembly (complex, at one angular frequency)
+    # Small-signal solve (complex, over a frequency grid)
     # ------------------------------------------------------------------
-    def assemble_ac(
+    def solve_ac(
         self,
-        omega: float,
+        freqs: np.ndarray,
         device_ops: Dict[str, MosfetOperatingPoint],
-        source_overrides: Optional[Dict[str, complex]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Complex MNA matrix and excitation vector at ``omega``.
+        rhs: np.ndarray,
+    ) -> np.ndarray:
+        """Small-signal solutions at every frequency in ``freqs`` (Hz).
 
-        Dispatches to the vectorized plan scatter (bit-identical) or
-        the scalar reference under ``REPRO_DENSE_ASSEMBLY=1``.
+        The system is linearised at ``device_ops`` (gm/gds/caps of a
+        converged operating point) and excited by ``rhs``: a vector
+        (e.g. :meth:`StampPlan.ac_rhs`) gives an ``(F, size)`` result,
+        a ``(size, k)`` block of excitation columns an ``(F, size, k)``
+        one.  Dense systems solve the whole grid as one stacked LU
+        call; sparse ones solve point by point in the cached CSC
+        pattern.
 
-        Args:
-            omega: angular frequency, rad/s.
-            device_ops: converged DC operating points (for gm/gds/caps).
-            source_overrides: optional map source-name -> complex AC
-                amplitude, replacing the elements' own ``ac`` values (used
-                for CMRR/PSRR-style analyses without netlist edits).
-
-        Returns:
-            (Y, rhs) with the same unknown ordering as the DC system.
+        Raises:
+            SimulationError: naming the first frequency whose matrix
+                is singular.
         """
-        if dense_assembly_forced():
-            return self.assemble_ac_reference(omega, device_ops, source_overrides)
-        overrides = {k.lower(): v for k, v in (source_overrides or {}).items()}
-        return self.stamp_plan.assemble_ac_dense(omega, device_ops, overrides)
-
-    def assemble_ac_reference(
-        self,
-        omega: float,
-        device_ops: Dict[str, MosfetOperatingPoint],
-        source_overrides: Optional[Dict[str, complex]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar reference AC stamper (differential-testing oracle)."""
-        size = self.size
-        matrix = np.zeros((size, size), dtype=complex)
-        rhs = np.zeros(size, dtype=complex)
-        overrides = {k.lower(): v for k, v in (source_overrides or {}).items()}
-
-        def add(row: int, col: int, value: complex) -> None:
-            if row >= 0 and col >= 0:
-                matrix[row, col] += value
-
-        def add_rhs(row: int, value: complex) -> None:
-            if row >= 0:
-                rhs[row] += value
-
-        def stamp_admittance(a: int, b: int, y: complex) -> None:
-            add(a, a, y)
-            add(b, b, y)
-            add(a, b, -y)
-            add(b, a, -y)
-
-        for element in self.circuit.elements:
-            if isinstance(element, Resistor):
-                stamp_admittance(
-                    self.index_of(element.node_a),
-                    self.index_of(element.node_b),
-                    1.0 / element.resistance,
-                )
-            elif isinstance(element, Capacitor):
-                stamp_admittance(
-                    self.index_of(element.node_a),
-                    self.index_of(element.node_b),
-                    1j * omega * element.capacitance,
-                )
-            elif isinstance(element, CurrentSource):
-                amplitude = overrides.get(element.name.lower(), element.ac)
-                p = self.index_of(element.positive)
-                n = self.index_of(element.negative)
-                add_rhs(p, -amplitude)
-                add_rhs(n, amplitude)
-            elif isinstance(element, Mosfet):
-                self._stamp_mosfet_ac(element, device_ops, omega, add, stamp_admittance)
-            elif isinstance(element, VoltageSource):
-                pass
-            else:  # pragma: no cover
-                raise SimulationError(f"unsupported element {type(element).__name__}")
-
-        for position, source in enumerate(self.vsources):
-            row = self.branch_index(position)
-            p = self.index_of(source.positive)
-            n = self.index_of(source.negative)
-            add(p, row, 1.0)
-            add(n, row, -1.0)
-            add(row, p, 1.0)
-            add(row, n, -1.0)
-            rhs[row] = overrides.get(source.name.lower(), source.ac)
-
-        return matrix, rhs
-
-    def _stamp_mosfet_ac(self, element, device_ops, omega, add, stamp_admittance):
-        name = element.name.lower()
+        plan = self.stamp_plan
+        omegas = 2.0 * np.pi * freqs
+        g_vals, c_vals = plan.ac_entry_values(device_ops)
+        if self.use_sparse:
+            solution = np.empty((freqs.size, *rhs.shape), dtype=complex)
+            for k, omega in enumerate(omegas):
+                matrix = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
+                try:
+                    solution[k] = solve_linear(matrix, rhs)
+                except np.linalg.LinAlgError as exc:
+                    raise _ac_failure(freqs[k], exc) from exc
+            return solution
+        stack = plan.assemble_ac_stacked(omegas, g_vals, c_vals)
+        columns = rhs if rhs.ndim == 2 else rhs[:, None]
         try:
-            op = device_ops[name]
-        except KeyError:
-            raise SimulationError(
-                f"device {element.name} missing from operating point"
-            ) from None
-        d = self.index_of(element.drain)
-        g = self.index_of(element.gate)
-        s = self.index_of(element.source)
-        b = self.index_of(element.bulk)
-        gm, gds, gmbs = op.gm, op.gds, op.gmbs
-        # VCCS: i_d = gm*vgs + gds*vds + gmbs*vbs; exits the source.
-        g_s = -(gm + gds + gmbs)
-        add(d, g, gm)
-        add(d, d, gds)
-        add(d, b, gmbs)
-        add(d, s, g_s)
-        add(s, g, -gm)
-        add(s, d, -gds)
-        add(s, b, -gmbs)
-        add(s, s, -g_s)
-        # Capacitances at the operating point.
-        stamp_admittance(g, s, 1j * omega * op.cgs)
-        stamp_admittance(g, d, 1j * omega * op.cgd)
-        stamp_admittance(g, b, 1j * omega * op.cgb)
-        stamp_admittance(b, d, 1j * omega * op.cbd)
-        stamp_admittance(b, s, 1j * omega * op.cbs)
+            solution = np.linalg.solve(
+                stack, np.broadcast_to(columns, (freqs.size, *columns.shape))
+            )
+        except np.linalg.LinAlgError as exc:
+            # Re-solve point by point so the error names the frequency.
+            for k, frequency in enumerate(freqs):
+                try:
+                    np.linalg.solve(stack[k], columns)
+                except np.linalg.LinAlgError as point_exc:
+                    raise _ac_failure(frequency, point_exc) from point_exc
+            raise SimulationError(f"AC solve failed: {exc}") from exc
+        return solution if rhs.ndim == 2 else solution[..., 0]
 
     # ------------------------------------------------------------------
     # Result packaging
@@ -477,3 +266,7 @@ class MnaSystem:
             source.name.lower(): source for source in self.vsources
         }
         return result
+
+
+def _ac_failure(frequency: float, exc: Exception) -> SimulationError:
+    return SimulationError(f"AC solve failed at {frequency:g} Hz: {exc}")

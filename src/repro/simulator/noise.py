@@ -11,9 +11,10 @@ two nodes:
   as ``gm^2``-scaled drain current noise;
 * resistor thermal noise: ``S_i = 4 k T / R``.
 
-For each analysis frequency the complex MNA matrix is assembled once and
-factored; all noise sources are solved as one multi-RHS system; the
-output PSD is the incoherent sum ``sum_k |H_k(f)|^2 S_k(f)``.
+The complex MNA matrix is factored once per analysis frequency and all
+noise sources are solved as one multi-RHS system
+(:meth:`~repro.simulator.mna.MnaSystem.solve_ac`); the output PSD is
+the incoherent sum ``sum_k |H_k(f)|^2 S_k(f)``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from ..circuit.elements import Mosfet, Resistor
 from ..circuit.netlist import Circuit
 from ..errors import SimulationError
 from ..process.parameters import ProcessParameters
-from .assembly import dense_assembly_forced, solve_linear
 from .mna import MnaSystem, OperatingPointResult
 
 __all__ = ["NoiseResult", "noise_analysis"]
@@ -149,7 +149,7 @@ def noise_analysis(
             rhs[b, col] += 1.0
 
     # transfer[k, col]: output-node response to branch col at freqs[k].
-    transfer = _solve_noise_grid(system, freqs, op, rhs)[:, out_index, :]
+    transfer = system.solve_ac(freqs, op.device_ops, rhs)[:, out_index, :]
 
     total = np.zeros(freqs.size)
     contributions = {}
@@ -162,62 +162,3 @@ def noise_analysis(
 
     return NoiseResult(frequencies=freqs, output_psd=total, contributions=contributions)
 
-
-def _solve_noise_grid(
-    system: MnaSystem,
-    freqs: np.ndarray,
-    op: OperatingPointResult,
-    rhs: np.ndarray,
-) -> np.ndarray:
-    """Multi-RHS solves over the grid -> (freqs, size, branches).
-
-    Matrix-stacked batched solve for small systems, cached-pattern
-    sparse LU per point for large ones, the scalar reference loop
-    under ``REPRO_DENSE_ASSEMBLY=1``.
-    """
-    omegas = 2.0 * np.pi * freqs
-    if dense_assembly_forced():
-        solution = np.zeros(
-            (freqs.size, system.size, rhs.shape[1]), dtype=complex
-        )
-        for k, frequency in enumerate(freqs):
-            matrix, _ = system.assemble_ac(float(omegas[k]), op.device_ops)
-            try:
-                solution[k] = np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    f"noise solve failed at {frequency:g} Hz: {exc}"
-                )
-        return solution
-    plan = system.stamp_plan
-    g_vals, c_vals = plan.ac_entry_values(op.device_ops)
-    if system.use_sparse:
-        solution = np.zeros(
-            (freqs.size, system.size, rhs.shape[1]), dtype=complex
-        )
-        for k, omega in enumerate(omegas):
-            matrix = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
-            try:
-                solution[k] = solve_linear(matrix, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    f"noise solve failed at {freqs[k]:g} Hz: {exc}"
-                )
-        return solution
-    stack = plan.assemble_ac_stacked(omegas, g_vals, c_vals)
-    rhs_stack = np.broadcast_to(
-        rhs, (freqs.size, system.size, rhs.shape[1])
-    )
-    try:
-        return np.linalg.solve(stack, rhs_stack)
-    except np.linalg.LinAlgError as exc:
-        # Localize: re-run point by point to name the frequency.
-        for k, frequency in enumerate(freqs):
-            matrix, _ = system.assemble_ac(float(omegas[k]), op.device_ops)
-            try:
-                np.linalg.solve(matrix, rhs)
-            except np.linalg.LinAlgError as inner:
-                raise SimulationError(
-                    f"noise solve failed at {frequency:g} Hz: {inner}"
-                ) from inner
-        raise SimulationError(f"noise solve failed: {exc}") from exc

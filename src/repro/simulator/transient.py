@@ -22,13 +22,13 @@ import numpy as np
 
 import scipy.sparse as sp
 
-from ..circuit.elements import GROUND, Capacitor
+from ..circuit.elements import GROUND
 from ..circuit.netlist import Circuit
 from ..errors import ConvergenceError, SimulationError
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from .assembly import _NodeGather, dense_assembly_forced, solve_linear
+from .assembly import _NodeGather, solve_linear
 from .dc import MAX_STEP, RELTOL, VTOL, operating_point
 from .mna import MnaSystem
 
@@ -71,24 +71,10 @@ def step_waveform(
     return wave
 
 
-class _CapState:
-    """Trapezoidal companion state for one capacitor branch a->b."""
-
-    __slots__ = ("node_a", "node_b", "capacitance", "v_prev", "i_prev")
-
-    def __init__(self, node_a: int, node_b: int, capacitance: float):
-        self.node_a = node_a
-        self.node_b = node_b
-        self.capacitance = capacitance
-        self.v_prev = 0.0
-        self.i_prev = 0.0
-
-
 class _CompanionBank:
     """Struct-of-arrays trapezoidal companion state for all capacitor
     branches at once (explicit caps first, then the five MOSFET cap
-    branches per device) -- the vectorized counterpart of a list of
-    :class:`_CapState`."""
+    branches per device)."""
 
     def __init__(
         self, node_a: List[int], node_b: List[int], caps: List[float]
@@ -215,14 +201,9 @@ def transient_analysis(
         x[system.branch_index(pos)] = op0.source_currents[source.name.lower()]
 
     with obs_span(f"transient:{circuit.name}", category="sim") as tran_span:
-        if dense_assembly_forced():
-            times, history = _integrate_reference(
-                system, initial, x, op0, t_stop, t_step, stimuli, max_iterations
-            )
-        else:
-            times, history = _integrate_fast(
-                system, initial, x, op0, t_stop, t_step, stimuli, max_iterations
-            )
+        times, history = _integrate(
+            system, initial, x, op0, t_stop, t_step, stimuli, max_iterations
+        )
         tran_span.set("timesteps", len(times) - 1)
         metric_count("transient.analyses")
         metric_count("transient.timesteps", n=len(times) - 1)
@@ -234,7 +215,7 @@ def transient_analysis(
     return TransientResult(times=np.asarray(times), waveforms=waveforms)
 
 
-def _integrate_reference(
+def _integrate(
     system: MnaSystem,
     initial: Circuit,
     x: np.ndarray,
@@ -244,69 +225,10 @@ def _integrate_reference(
     stimuli: Dict[str, Callable[[float], float]],
     max_iterations: int,
 ):
-    """Scalar reference integration (``REPRO_DENSE_ASSEMBLY=1``)."""
-    explicit_states: List[_CapState] = []
-    for cap in initial.capacitors:
-        state = _CapState(
-            system.index_of(cap.node_a), system.index_of(cap.node_b), cap.capacitance
-        )
-        state.v_prev = _branch_voltage(x, state)
-        explicit_states.append(state)
-
-    device_branches = _device_cap_branches(system, op0.device_ops)
-    device_states: List[_CapState] = []
-    for name, a, b, kind in device_branches:
-        state = _CapState(a, b, getattr(op0.device_ops[name], kind))
-        state.v_prev = _branch_voltage(x, state)
-        device_states.append(state)
-
-    times = [0.0]
-    history = [x.copy()]
-
-    t = 0.0
-    while t < t_stop - 1e-15:
-        h = min(t_step, t_stop - t)
-        t_next = t + h
-        x_next, device_ops = _solve_timestep(
-            system,
-            x,
-            t_next,
-            h,
-            stimuli,
-            explicit_states,
-            device_states,
-            max_iterations,
-        )
-        # Accept: update companion histories.
-        for state in explicit_states + device_states:
-            v_new = _branch_voltage(x_next, state)
-            geq = 2.0 * state.capacitance / h
-            i_new = geq * (v_new - state.v_prev) - state.i_prev
-            state.v_prev = v_new
-            state.i_prev = i_new
-        # Refresh device capacitance values quasi-statically.
-        for state, (name, a, b, kind) in zip(device_states, device_branches):
-            state.capacitance = getattr(device_ops[name], kind)
-        x = x_next
-        t = t_next
-        times.append(t)
-        history.append(x.copy())
-    return times, history
-
-
-def _integrate_fast(
-    system: MnaSystem,
-    initial: Circuit,
-    x: np.ndarray,
-    op0,
-    t_stop: float,
-    t_step: float,
-    stimuli: Dict[str, Callable[[float], float]],
-    max_iterations: int,
-):
-    """Vectorized integration: one :class:`_CompanionBank` holds every
-    capacitor branch, companion stamps/updates are whole-bank array
-    operations, and large systems solve sparsely."""
+    """Fixed-step integration from the initial state ``x``: one
+    :class:`_CompanionBank` holds every capacitor branch, companion
+    stamps/updates are whole-bank array operations, and large systems
+    solve sparsely.  Returns (times, per-step unknown vectors)."""
     node_a: List[int] = []
     node_b: List[int] = []
     caps: List[float] = []
@@ -330,7 +252,7 @@ def _integrate_fast(
     while t < t_stop - 1e-15:
         h = min(t_step, t_stop - t)
         t_next = t + h
-        x_next, device_ops = _solve_timestep_fast(
+        x_next, device_ops = _solve_timestep(
             system, x, t_next, h, stimuli, bank, max_iterations
         )
         bank.accept(x_next, h)
@@ -342,90 +264,6 @@ def _integrate_fast(
         times.append(t)
         history.append(x.copy())
     return times, history
-
-
-def _branch_voltage(x: np.ndarray, state: _CapState) -> float:
-    va = 0.0 if state.node_a < 0 else float(x[state.node_a])
-    vb = 0.0 if state.node_b < 0 else float(x[state.node_b])
-    return va - vb
-
-
-def _solve_timestep(
-    system: MnaSystem,
-    x_prev: np.ndarray,
-    t: float,
-    h: float,
-    stimuli,
-    explicit_states: List[_CapState],
-    device_states: List[_CapState],
-    max_iterations: int,
-):
-    """Damped NR for one trapezoidal timestep (scalar reference)."""
-    x = x_prev.copy()
-    n_nodes = system.n_nodes
-    source_values, isource_values = _stimulus_values(system, stimuli, t)
-
-    for iteration in range(1, max_iterations + 1):
-        residual, jacobian, device_ops = system.assemble_dc(x, 1e-12, 1.0)
-
-        # Override voltage-source branch equations with waveform values.
-        for pos, source in enumerate(system.vsources):
-            key = source.name.lower()
-            if key in source_values:
-                row = system.branch_index(pos)
-                p = system.index_of(source.positive)
-                n = system.index_of(source.negative)
-                vp = 0.0 if p < 0 else x[p]
-                vn = 0.0 if n < 0 else x[n]
-                residual[row] = vp - vn - source_values[key]
-
-        # Adjust current-source injections for waveform values (the
-        # assemble already stamped the DC value; add the difference).
-        for element, value in isource_values.values():
-            extra = value - element.dc
-            p = system.index_of(element.positive)
-            n = system.index_of(element.negative)
-            if p >= 0:
-                residual[p] += extra
-            if n >= 0:
-                residual[n] -= extra
-
-        # Capacitor companion stamps.
-        for state in explicit_states + device_states:
-            if state.capacitance <= 0:
-                continue
-            geq = 2.0 * state.capacitance / h
-            ieq = geq * state.v_prev + state.i_prev
-            v_now = _branch_voltage(x, state)
-            current = geq * v_now - ieq
-            a, b = state.node_a, state.node_b
-            if a >= 0:
-                residual[a] += current
-                jacobian[a, a] += geq
-                if b >= 0:
-                    jacobian[a, b] -= geq
-            if b >= 0:
-                residual[b] -= current
-                jacobian[b, b] += geq
-                if a >= 0:
-                    jacobian[b, a] -= geq
-
-        try:
-            delta = np.linalg.solve(jacobian, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"transient singular Jacobian at t={t:g}: {exc}", iteration
-            ) from exc
-        worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
-        if worst > MAX_STEP:
-            delta = delta * (MAX_STEP / worst)
-        x = x + delta
-        if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
-            return x, device_ops
-    raise ConvergenceError(
-        f"transient NR failed at t={t:g} ({max_iterations} iterations)",
-        max_iterations,
-    )
 
 
 def _stimulus_values(system: MnaSystem, stimuli, t: float):
@@ -446,7 +284,7 @@ def _stimulus_values(system: MnaSystem, stimuli, t: float):
     return source_values, isource_values
 
 
-def _solve_timestep_fast(
+def _solve_timestep(
     system: MnaSystem,
     x_prev: np.ndarray,
     t: float,
@@ -455,7 +293,7 @@ def _solve_timestep_fast(
     bank: _CompanionBank,
     max_iterations: int,
 ):
-    """Damped NR for one timestep over the vectorized companion bank."""
+    """Damped NR for one trapezoidal timestep over the companion bank."""
     x = x_prev.copy()
     n_nodes = system.n_nodes
     source_values, isource_values = _stimulus_values(system, stimuli, t)

@@ -1,0 +1,454 @@
+"""Scalar reference simulator: the oracle the vectorized core is tested against.
+
+The production simulator has one numeric path per analysis: the
+:class:`~repro.simulator.assembly.StampPlan` scatter for DC and AC
+assembly, one stacked (or sparse, point-by-point) small-signal solve
+for AC, noise and mismatch, and the companion-bank transient
+integrator.  This module keeps the obvious element-by-element versions
+of the same computations -- the *specification* the plan replays --
+so the differential suites can pit the two against each other:
+
+* :func:`assemble_dc_reference` / :func:`assemble_ac_reference` walk
+  ``circuit.elements`` one device at a time and stamp through closures;
+* :func:`solve_ac_reference` assembles and solves one frequency at a
+  time;
+* :func:`integrate_reference` runs the trapezoidal transient with one
+  companion object per capacitor branch and a scalar Newton loop.
+
+:func:`reference_backend` swaps all of them into the live simulator at
+once (dense solves only), so a whole pipeline -- ``operating_point``,
+``ac_analysis``, ``verify_opamp``, a corner batch -- can be replayed on
+the reference and compared byte for byte.  It is a context manager for
+library code; pytest tests use the ``monkeypatch`` form,
+:func:`patch_reference_backend`.
+"""
+
+from __future__ import annotations
+
+import sys
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
+
+from repro.circuit.elements import (
+    Capacitor,
+    CurrentSource,
+    Mosfet,
+    Resistor,
+    VoltageSource,
+)
+from repro.circuit.netlist import Circuit
+from repro.devices.mosfet import MosfetOperatingPoint
+from repro.errors import ConvergenceError, SimulationError
+from repro.simulator import mna as mna_module
+from repro.simulator import transient as transient_module
+from repro.simulator.dc import MAX_STEP, RELTOL, VTOL
+from repro.simulator.mna import MnaSystem
+
+__all__ = [
+    "assemble_dc_reference",
+    "assemble_ac_reference",
+    "solve_ac_reference",
+    "integrate_reference",
+    "reference_backend",
+    "patch_reference_backend",
+]
+
+
+# ----------------------------------------------------------------------
+# DC assembly
+# ----------------------------------------------------------------------
+def assemble_dc_reference(
+    system: MnaSystem,
+    x: np.ndarray,
+    gmin: float = 1e-12,
+    source_scale: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
+    """Residual F(x), dense Jacobian J(x) and device ops, element by element.
+
+    The residual convention is KCL: F[node] = sum of currents *leaving*
+    the node through elements minus injected source currents; voltage
+    source rows hold ``V(p) - V(n) - Vdc``.  ``gmin`` shunts every node
+    to ground and ``source_scale`` multiplies every independent source.
+    """
+    size = system.size
+    residual = np.zeros(size)
+    jacobian = np.zeros((size, size))
+    device_ops: Dict[str, MosfetOperatingPoint] = {}
+    index_of = system.index_of
+
+    def volt(idx: int) -> float:
+        return 0.0 if idx < 0 else float(x[idx])
+
+    def add_j(row: int, col: int, value: float) -> None:
+        if row >= 0 and col >= 0:
+            jacobian[row, col] += value
+
+    def add_f(row: int, value: float) -> None:
+        if row >= 0:
+            residual[row] += value
+
+    # gmin to ground on every node keeps the matrix non-singular.
+    for i in range(system.n_nodes):
+        residual[i] += gmin * x[i]
+        jacobian[i, i] += gmin
+
+    for element in system.circuit.elements:
+        if isinstance(element, Resistor):
+            a = index_of(element.node_a)
+            b = index_of(element.node_b)
+            g = 1.0 / element.resistance
+            v = volt(a) - volt(b)
+            add_f(a, g * v)
+            add_f(b, -g * v)
+            add_j(a, a, g)
+            add_j(a, b, -g)
+            add_j(b, a, -g)
+            add_j(b, b, g)
+        elif isinstance(element, Capacitor):
+            continue  # open at DC
+        elif isinstance(element, CurrentSource):
+            p = index_of(element.positive)
+            n = index_of(element.negative)
+            i_dc = element.dc * source_scale
+            # The current leaves the positive node through the source.
+            add_f(p, i_dc)
+            add_f(n, -i_dc)
+        elif isinstance(element, Mosfet):
+            model = system.models[element.name.lower()]
+            d = index_of(element.drain)
+            g = index_of(element.gate)
+            s = index_of(element.source)
+            b = index_of(element.bulk)
+            op = model.evaluate(volt(g) - volt(s), volt(d) - volt(s), volt(b) - volt(s))
+            device_ops[element.name.lower()] = op
+            # op.ids enters the drain and exits the source; partials are
+            # dId/dVg = gm, dId/dVd = gds, dId/dVb = gmbs and
+            # dId/dVs = -(gm + gds + gmbs).
+            add_f(d, op.ids)
+            add_f(s, -op.ids)
+            gm, gds, gmbs = op.gm, op.gds, op.gmbs
+            g_s = -(gm + gds + gmbs)
+            add_j(d, g, gm)
+            add_j(d, d, gds)
+            add_j(d, b, gmbs)
+            add_j(d, s, g_s)
+            add_j(s, g, -gm)
+            add_j(s, d, -gds)
+            add_j(s, b, -gmbs)
+            add_j(s, s, -g_s)
+        elif isinstance(element, VoltageSource):
+            pass  # handled below with branch rows
+        else:  # pragma: no cover
+            raise SimulationError(f"unsupported element {type(element).__name__}")
+
+    for position, source in enumerate(system.vsources):
+        row = system.branch_index(position)
+        p = index_of(source.positive)
+        n = index_of(source.negative)
+        i_branch = float(x[row])
+        # KCL: the branch current leaves the positive node.
+        add_f(p, i_branch)
+        add_f(n, -i_branch)
+        add_j(p, row, 1.0)
+        add_j(n, row, -1.0)
+        residual[row] = volt(p) - volt(n) - source.dc * source_scale
+        add_j(row, p, 1.0)
+        add_j(row, n, -1.0)
+
+    return residual, jacobian, device_ops
+
+
+def _dc_residual_reference(
+    system: MnaSystem, x: np.ndarray, gmin: float = 1e-12, source_scale: float = 1.0
+) -> Tuple[np.ndarray, Dict[str, MosfetOperatingPoint]]:
+    residual, _, device_ops = assemble_dc_reference(system, x, gmin, source_scale)
+    return residual, device_ops
+
+
+# ----------------------------------------------------------------------
+# AC assembly and the per-frequency solve
+# ----------------------------------------------------------------------
+def assemble_ac_reference(
+    system: MnaSystem,
+    omega: float,
+    device_ops: Dict[str, MosfetOperatingPoint],
+    source_overrides: Optional[Dict[str, complex]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Complex MNA matrix and excitation vector at ``omega``, element by
+    element (``source_overrides`` replaces sources' ``ac`` amplitudes)."""
+    size = system.size
+    matrix = np.zeros((size, size), dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
+    overrides = {k.lower(): v for k, v in (source_overrides or {}).items()}
+    index_of = system.index_of
+
+    def add(row: int, col: int, value: complex) -> None:
+        if row >= 0 and col >= 0:
+            matrix[row, col] += value
+
+    def add_rhs(row: int, value: complex) -> None:
+        if row >= 0:
+            rhs[row] += value
+
+    def stamp_admittance(a: int, b: int, y: complex) -> None:
+        add(a, a, y)
+        add(b, b, y)
+        add(a, b, -y)
+        add(b, a, -y)
+
+    for element in system.circuit.elements:
+        if isinstance(element, Resistor):
+            stamp_admittance(
+                index_of(element.node_a),
+                index_of(element.node_b),
+                1.0 / element.resistance,
+            )
+        elif isinstance(element, Capacitor):
+            stamp_admittance(
+                index_of(element.node_a),
+                index_of(element.node_b),
+                1j * omega * element.capacitance,
+            )
+        elif isinstance(element, CurrentSource):
+            amplitude = overrides.get(element.name.lower(), element.ac)
+            add_rhs(index_of(element.positive), -amplitude)
+            add_rhs(index_of(element.negative), amplitude)
+        elif isinstance(element, Mosfet):
+            op = device_ops.get(element.name.lower())
+            if op is None:
+                raise SimulationError(
+                    f"device {element.name} missing from operating point"
+                )
+            d = index_of(element.drain)
+            g = index_of(element.gate)
+            s = index_of(element.source)
+            b = index_of(element.bulk)
+            # VCCS: i_d = gm*vgs + gds*vds + gmbs*vbs; exits the source.
+            gm, gds, gmbs = op.gm, op.gds, op.gmbs
+            g_s = -(gm + gds + gmbs)
+            add(d, g, gm)
+            add(d, d, gds)
+            add(d, b, gmbs)
+            add(d, s, g_s)
+            add(s, g, -gm)
+            add(s, d, -gds)
+            add(s, b, -gmbs)
+            add(s, s, -g_s)
+            stamp_admittance(g, s, 1j * omega * op.cgs)
+            stamp_admittance(g, d, 1j * omega * op.cgd)
+            stamp_admittance(g, b, 1j * omega * op.cgb)
+            stamp_admittance(b, d, 1j * omega * op.cbd)
+            stamp_admittance(b, s, 1j * omega * op.cbs)
+        elif isinstance(element, VoltageSource):
+            pass
+        else:  # pragma: no cover
+            raise SimulationError(f"unsupported element {type(element).__name__}")
+
+    for position, source in enumerate(system.vsources):
+        row = system.branch_index(position)
+        p = index_of(source.positive)
+        n = index_of(source.negative)
+        add(p, row, 1.0)
+        add(n, row, -1.0)
+        add(row, p, 1.0)
+        add(row, n, -1.0)
+        rhs[row] = overrides.get(source.name.lower(), source.ac)
+
+    return matrix, rhs
+
+
+def solve_ac_reference(
+    system: MnaSystem,
+    freqs: np.ndarray,
+    device_ops: Dict[str, MosfetOperatingPoint],
+    rhs: np.ndarray,
+) -> np.ndarray:
+    """:meth:`MnaSystem.solve_ac`, one assembly and dense solve per point."""
+    solution = np.empty((freqs.size, *rhs.shape), dtype=complex)
+    for k, frequency in enumerate(freqs):
+        matrix, _ = assemble_ac_reference(system, 2.0 * np.pi * frequency, device_ops)
+        try:
+            solution[k] = np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(
+                f"AC solve failed at {frequency:g} Hz: {exc}"
+            ) from exc
+    return solution
+
+
+# ----------------------------------------------------------------------
+# Transient
+# ----------------------------------------------------------------------
+class _CapState:
+    """Trapezoidal companion state for one capacitor branch a->b."""
+
+    __slots__ = ("node_a", "node_b", "capacitance", "v_prev", "i_prev")
+
+    def __init__(self, node_a: int, node_b: int, capacitance: float):
+        self.node_a = node_a
+        self.node_b = node_b
+        self.capacitance = capacitance
+        self.v_prev = 0.0
+        self.i_prev = 0.0
+
+    def voltage(self, x: np.ndarray) -> float:
+        va = 0.0 if self.node_a < 0 else float(x[self.node_a])
+        vb = 0.0 if self.node_b < 0 else float(x[self.node_b])
+        return va - vb
+
+
+def integrate_reference(
+    system: MnaSystem,
+    initial: Circuit,
+    x: np.ndarray,
+    op0,
+    t_stop: float,
+    t_step: float,
+    stimuli: Dict[str, Callable[[float], float]],
+    max_iterations: int,
+):
+    """The transient integration loop with one :class:`_CapState` per
+    capacitor branch (same contract as the production ``_integrate``)."""
+    explicit_states: List[_CapState] = []
+    for cap in initial.capacitors:
+        state = _CapState(
+            system.index_of(cap.node_a), system.index_of(cap.node_b), cap.capacitance
+        )
+        state.v_prev = state.voltage(x)
+        explicit_states.append(state)
+
+    device_branches = transient_module._device_cap_branches(system, op0.device_ops)
+    device_states: List[_CapState] = []
+    for name, a, b, kind in device_branches:
+        state = _CapState(a, b, getattr(op0.device_ops[name], kind))
+        state.v_prev = state.voltage(x)
+        device_states.append(state)
+
+    times = [0.0]
+    history = [x.copy()]
+    t = 0.0
+    while t < t_stop - 1e-15:
+        h = min(t_step, t_stop - t)
+        t_next = t + h
+        x_next, device_ops = _solve_timestep_reference(
+            system, x, t_next, h, stimuli, explicit_states + device_states,
+            max_iterations,
+        )
+        for state in explicit_states + device_states:
+            v_new = state.voltage(x_next)
+            geq = 2.0 * state.capacitance / h
+            state.i_prev = geq * (v_new - state.v_prev) - state.i_prev
+            state.v_prev = v_new
+        # Device capacitances follow the new operating point.
+        for state, (name, _a, _b, kind) in zip(device_states, device_branches):
+            state.capacitance = getattr(device_ops[name], kind)
+        x = x_next
+        t = t_next
+        times.append(t)
+        history.append(x.copy())
+    return times, history
+
+
+def _solve_timestep_reference(
+    system: MnaSystem,
+    x_prev: np.ndarray,
+    t: float,
+    h: float,
+    stimuli,
+    states: List[_CapState],
+    max_iterations: int,
+):
+    """Damped NR for one trapezoidal timestep, stamp by stamp."""
+    x = x_prev.copy()
+    n_nodes = system.n_nodes
+    source_values, isource_values = transient_module._stimulus_values(
+        system, stimuli, t
+    )
+    for iteration in range(1, max_iterations + 1):
+        residual, jacobian, device_ops = assemble_dc_reference(system, x, 1e-12, 1.0)
+        for pos, source in enumerate(system.vsources):
+            key = source.name.lower()
+            if key in source_values:
+                row = system.branch_index(pos)
+                p = system.index_of(source.positive)
+                n = system.index_of(source.negative)
+                vp = 0.0 if p < 0 else x[p]
+                vn = 0.0 if n < 0 else x[n]
+                residual[row] = vp - vn - source_values[key]
+        for element, value in isource_values.values():
+            extra = value - element.dc
+            p = system.index_of(element.positive)
+            n = system.index_of(element.negative)
+            if p >= 0:
+                residual[p] += extra
+            if n >= 0:
+                residual[n] -= extra
+        for state in states:
+            if state.capacitance <= 0:
+                continue
+            geq = 2.0 * state.capacitance / h
+            current = geq * state.voltage(x) - (geq * state.v_prev + state.i_prev)
+            a, b = state.node_a, state.node_b
+            if a >= 0:
+                residual[a] += current
+                jacobian[a, a] += geq
+                if b >= 0:
+                    jacobian[a, b] -= geq
+            if b >= 0:
+                residual[b] -= current
+                jacobian[b, b] += geq
+                if a >= 0:
+                    jacobian[b, a] -= geq
+        try:
+            delta = np.linalg.solve(jacobian, -residual)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"transient singular Jacobian at t={t:g}: {exc}", iteration
+            ) from exc
+        worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
+        if worst > MAX_STEP:
+            delta = delta * (MAX_STEP / worst)
+        x = x + delta
+        if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
+            return x, device_ops
+    raise ConvergenceError(
+        f"transient NR failed at t={t:g} ({max_iterations} iterations)",
+        max_iterations,
+    )
+
+
+# ----------------------------------------------------------------------
+# Whole-simulator switch
+# ----------------------------------------------------------------------
+def _reference_patches():
+    """(owner, attribute, replacement) for every production numeric path."""
+    return (
+        (MnaSystem, "assemble_dc", assemble_dc_reference),
+        (MnaSystem, "assemble_dc_system", assemble_dc_reference),
+        (MnaSystem, "assemble_dc_residual", _dc_residual_reference),
+        (MnaSystem, "solve_ac", solve_ac_reference),
+        # Every system factors densely, whatever its size.
+        (mna_module, "SPARSE_THRESHOLD", sys.maxsize),
+        (transient_module, "_integrate", integrate_reference),
+    )
+
+
+@contextmanager
+def reference_backend() -> Iterator[None]:
+    """Run the live simulator on the scalar reference inside the block."""
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in _reference_patches()]
+    try:
+        for owner, name, replacement in _reference_patches():
+            setattr(owner, name, replacement)
+        yield
+    finally:
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)
+
+
+def patch_reference_backend(monkeypatch) -> None:
+    """:func:`reference_backend` for a pytest ``monkeypatch`` fixture."""
+    for owner, name, replacement in _reference_patches():
+        monkeypatch.setattr(owner, name, replacement)

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).parent.parent / "src")
+ROOT = Path(__file__).parent.parent
+SRC = str(ROOT / "src")
 
 RECORD_SCRIPT = """
 import sys
@@ -84,19 +85,34 @@ sys.stdout.write(json.dumps(record, indent=2, sort_keys=True))
 """
 
 
-def _run(script: str, seed: str, *argv: str, extra_env=None) -> str:
+#: Runs the rest of the script on the scalar reference simulator.
+REFERENCE_PRELUDE = """
+from tests.numeric_reference import reference_backend
+reference_backend().__enter__()
+"""
+
+#: Pushes every system, op amps included, through the CSC/splu tier.
+SPARSE_PRELUDE = """
+import repro.simulator.mna
+repro.simulator.mna.SPARSE_THRESHOLD = 1
+"""
+
+
+def _run(
+    script: str, seed: str, *argv: str, extra_env=None, prelude: str = ""
+) -> str:
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        (SRC, str(ROOT), env.get("PYTHONPATH", ""))
+    )
     env["PYTHONHASHSEED"] = seed
     env.pop("REPRO_CACHE_DIR", None)
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_LOG", None)
-    env.pop("REPRO_DENSE_ASSEMBLY", None)
-    env.pop("REPRO_SPARSE_THRESHOLD", None)
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv],
+        [sys.executable, "-c", prelude + script, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -168,21 +184,18 @@ class TestHashSeedIndependence:
 class TestAssemblyBackendParity:
     """The vectorized numeric core is byte-invisible end to end.
 
-    ``REPRO_DENSE_ASSEMBLY=1`` swaps every assembly and solve back to
-    the scalar reference walk; a fresh interpreter under either backend
-    (and either hash seed) must emit identical sized-schematic records
-    and identical DC operating-point bytes.
+    :func:`tests.numeric_reference.reference_backend` swaps every
+    assembly and solve back to the scalar reference walk; a fresh
+    interpreter on either backend (and either hash seed) must emit
+    identical sized-schematic records and identical DC operating-point
+    bytes.
     """
-
-    REFERENCE_ENV = {"REPRO_DENSE_ASSEMBLY": "1"}
 
     @pytest.mark.parametrize("label", ["A", "B"])
     def test_record_bytes_backend_invariant(self, label):
         default = _run(RECORD_SCRIPT, "0", label)
         for seed in SEEDS:
-            forced = _run(
-                RECORD_SCRIPT, seed, label, extra_env=self.REFERENCE_ENV
-            )
+            forced = _run(RECORD_SCRIPT, seed, label, prelude=REFERENCE_PRELUDE)
             assert forced == default
 
     @pytest.mark.parametrize("label", ["A", "C"])
@@ -190,20 +203,15 @@ class TestAssemblyBackendParity:
         default = _run(OP_SCRIPT, "0", label)
         assert '"iterations"' in default
         for seed in SEEDS:
-            forced = _run(OP_SCRIPT, seed, label, extra_env=self.REFERENCE_ENV)
+            forced = _run(OP_SCRIPT, seed, label, prelude=REFERENCE_PRELUDE)
             assert forced == default
 
-    def test_sparse_threshold_env_does_not_leak_into_records(self):
+    def test_sparse_tier_does_not_leak_into_records(self):
         # Dropping the sparse threshold to 1 pushes even the op-amp
         # solves through the CSC/splu tier; the *record* bytes must
         # still match, since sizing rules consume converged values far
         # above solver noise.  (Byte-level op parity is only promised
         # for the dense tier -- this guards the user-facing artifact.)
         default = _run(RECORD_SCRIPT, "0", "A")
-        sparse_everywhere = _run(
-            RECORD_SCRIPT,
-            "0",
-            "A",
-            extra_env={"REPRO_SPARSE_THRESHOLD": "1"},
-        )
+        sparse_everywhere = _run(RECORD_SCRIPT, "0", "A", prelude=SPARSE_PRELUDE)
         assert sparse_everywhere == default

@@ -28,6 +28,8 @@ from repro.opamp.designer import synthesize
 from repro.opamp.testcases import paper_test_cases
 from repro.process import CMOS_5UM
 
+from .numeric_reference import patch_reference_backend, reference_backend
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 UPDATE = os.environ.get("REPRO_UPDATE_GOLDEN") == "1"
 CASES = sorted(paper_test_cases())
@@ -85,21 +87,22 @@ class TestGoldenRecords:
 class TestGoldenBackendInvariance:
     """The vectorized numeric core moved no golden byte.
 
-    ``REPRO_DENSE_ASSEMBLY=1`` forces the scalar reference assembly
-    everywhere; the records it produces must equal the committed golden
-    bytes (which the default vectorized dispatch also reproduces, per
-    :class:`TestGoldenRecords`), and a DC solve must deposit the same
-    cache key with a byte-identical payload under either backend.
+    :func:`~tests.numeric_reference.reference_backend` puts the scalar
+    reference assembly and solves everywhere; the records it produces
+    must equal the committed golden bytes (which the vectorized core
+    also reproduces, per :class:`TestGoldenRecords`), and a DC solve
+    must deposit the same cache key with a byte-identical payload on
+    either backend.
     """
 
     @pytest.mark.parametrize("label", CASES)
     def test_reference_backend_reproduces_the_golden_bytes(
         self, golden, label, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_DENSE_ASSEMBLY", "1")
+        patch_reference_backend(monkeypatch)
         assert _current_record_json(label) == golden[label]
 
-    def test_op_cache_key_and_payload_backend_invariant(self, monkeypatch):
+    def test_op_cache_key_and_payload_backend_invariant(self):
         from repro.cache import ResultCache, cache_scope, canonical_json
         from repro.simulator import operating_point
         from repro.simulator.dc import _op_cache_key
@@ -109,21 +112,18 @@ class TestGoldenBackendInvariance:
         ).best.standalone_circuit()
         key = _op_cache_key(circuit, CMOS_5UM, None, 150, None)
 
-        def payload_for(backend_env):
-            if backend_env is None:
-                monkeypatch.delenv("REPRO_DENSE_ASSEMBLY", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_DENSE_ASSEMBLY", backend_env)
+        def payload():
             # The cache key is a pure function of (netlist, process,
-            # guess, mismatch): the backend env must not leak into it.
+            # guess, mismatch): the backend must not leak into it.
             assert _op_cache_key(circuit, CMOS_5UM, None, 150, None) == key
             cache = ResultCache()
             with cache_scope(cache):
                 operating_point(circuit, CMOS_5UM)
             return canonical_json(cache.get("op", key))
 
-        reference = payload_for("1")
-        vectorized = payload_for(None)
+        with reference_backend():
+            reference = payload()
+        vectorized = payload()
         assert reference == vectorized
         assert reference != canonical_json(None)
 

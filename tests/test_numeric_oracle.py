@@ -1,8 +1,10 @@
 """Differential-testing oracle: scalar reference vs. vectorized core.
 
-The vectorized stamping plan (:mod:`repro.simulator.assembly`) and the
-sparse solver tier are only trustworthy if they are *indistinguishable*
-from the scalar reference walk they replaced.  This suite pits the two
+The vectorized stamping plan (:mod:`repro.simulator.assembly`), the
+sparse solver tier, the stacked frequency-grid solve and the companion
+bank transient are only trustworthy if they are *indistinguishable*
+from the element-by-element reference they replaced
+(:mod:`tests.numeric_reference`).  This suite pits the two
 implementations against each other on every circuit the repo can
 produce -- the paper's synthesized test cases, the foreign fixture
 decks, a flattened ADC sub-hierarchy, and hypothesis-generated random
@@ -16,31 +18,42 @@ meshes -- and asserts:
 * solver-counter parity (``dc.lu_solves``, ``dc.newton.iterations``) so
   the vectorized path provably performs the *same* Newton trajectory,
   not merely a nearby one;
+* AC, noise, mismatch and transient parity end to end;
 * corner-batched solves (:func:`repro.batch.corner_operating_points`)
   matching per-corner solo solves.
-
-The reference backend is selected with ``REPRO_DENSE_ASSEMBLY=1``
-(read per call, so a monkeypatched environment flips the live
-dispatch).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulator
 from repro.batch import corner_operating_points
 from repro.circuit import GROUND, Circuit
+from repro.circuit.elements import VoltageSource
 from repro.circuit.netlist_io import parse_deck
 from repro.errors import ConvergenceError
 from repro.obs import Tracer
 from repro.opamp.designer import synthesize
 from repro.opamp.testcases import paper_test_cases
 from repro.process import CMOS_5UM
-from repro.simulator import operating_point
-from repro.simulator.assembly import DENSE_ASSEMBLY_ENV
+from repro.simulator import (
+    ac_analysis,
+    noise_analysis,
+    operating_point,
+    transient_analysis,
+)
 from repro.simulator.mna import MnaSystem
+from repro.simulator.transient import step_waveform
 
+from .numeric_reference import (
+    assemble_ac_reference,
+    assemble_dc_reference,
+    reference_backend,
+)
 from .test_foreign_decks import _fixture
 
 # ---------------------------------------------------------------------------
@@ -109,6 +122,13 @@ def _mesh_circuit(side: int) -> Circuit:
     return c
 
 
+def _ac_matrix(system: MnaSystem, omega: float, device_ops) -> np.ndarray:
+    """The production dense AC matrix at one angular frequency."""
+    plan = system.stamp_plan
+    g_vals, c_vals = plan.ac_entry_values(device_ops)
+    return plan.assemble_ac_stacked(np.array([omega]), g_vals, c_vals)[0]
+
+
 # ---------------------------------------------------------------------------
 # Assembly agreement: reference walk vs. vectorized scatter, entrywise.
 # ---------------------------------------------------------------------------
@@ -121,8 +141,8 @@ class TestDcAssemblyAgreement:
         plan = system.stamp_plan
         for x in _random_states(system):
             for gmin, scale in ((1e-12, 1.0), (1e-9, 0.7)):
-                ref_f, ref_j, ref_ops = system.assemble_dc_reference(
-                    x, gmin, scale
+                ref_f, ref_j, ref_ops = assemble_dc_reference(
+                    system, x, gmin, scale
                 )
                 vec_f, vec_j, vec_ops = plan.assemble_dc_dense(x, gmin, scale)
                 assert np.array_equal(ref_f, vec_f)
@@ -134,7 +154,7 @@ class TestDcAssemblyAgreement:
         system = MnaSystem(corpus[key], CMOS_5UM)
         plan = system.stamp_plan
         for x in _random_states(system, count=3):
-            ref_f, ref_j, _ = system.assemble_dc_reference(x, 1e-12, 1.0)
+            ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
             sp_f, sp_j, _ = plan.assemble_dc_sparse(x, 1e-12, 1.0)
             assert np.array_equal(ref_f, sp_f)
             # CSC summation follows the same entry order, so even the
@@ -145,7 +165,7 @@ class TestDcAssemblyAgreement:
     def test_residual_only_path_agrees(self, corpus, key):
         system = MnaSystem(corpus[key], CMOS_5UM)
         for x in _random_states(system, count=3):
-            ref_f, _, ref_ops = system.assemble_dc_reference(x, 1e-12, 1.0)
+            ref_f, _, ref_ops = assemble_dc_reference(system, x, 1e-12, 1.0)
             res_f, res_ops = system.stamp_plan.assemble_dc_residual(
                 x, 1e-12, 1.0
             )
@@ -156,7 +176,7 @@ class TestDcAssemblyAgreement:
         system = MnaSystem(_mesh_circuit(10), CMOS_5UM)
         assert system.use_sparse
         for x in _random_states(system, count=2):
-            ref_f, ref_j, _ = system.assemble_dc_reference(x, 1e-12, 1.0)
+            ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
             sp_f, sp_j, _ = system.stamp_plan.assemble_dc_sparse(
                 x, 1e-12, 1.0
             )
@@ -172,14 +192,10 @@ class TestAcAssemblyAgreement:
         circuit = corpus[key]
         op = operating_point(circuit, CMOS_5UM)
         system = MnaSystem(circuit, CMOS_5UM)
-        plan = system.stamp_plan
         for omega in self.OMEGAS:
-            ref_y, ref_rhs = system.assemble_ac_reference(
-                omega, op.device_ops
-            )
-            vec_y, vec_rhs = plan.assemble_ac_dense(omega, op.device_ops, {})
-            assert np.array_equal(ref_y, vec_y)
-            assert np.array_equal(ref_rhs, vec_rhs)
+            ref_y, ref_rhs = assemble_ac_reference(system, omega, op.device_ops)
+            assert np.array_equal(ref_y, _ac_matrix(system, omega, op.device_ops))
+            assert np.array_equal(ref_rhs, system.stamp_plan.ac_rhs())
 
     @pytest.mark.parametrize("key", ("testcase_A", "fixture_ota_5t"))
     def test_ac_sparse_and_stacked_tiers_agree(self, corpus, key):
@@ -191,7 +207,7 @@ class TestAcAssemblyAgreement:
         omegas = np.array(self.OMEGAS)
         stack = plan.assemble_ac_stacked(omegas, g_vals, c_vals)
         for i, omega in enumerate(omegas):
-            ref_y, _ = system.assemble_ac_reference(float(omega), op.device_ops)
+            ref_y, _ = assemble_ac_reference(system, float(omega), op.device_ops)
             assert np.array_equal(ref_y, stack[i])
             sparse_y = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
             assert np.array_equal(ref_y, sparse_y.toarray())
@@ -202,14 +218,12 @@ class TestAcAssemblyAgreement:
         system = MnaSystem(circuit, CMOS_5UM)
         overrides = {"vdd": 1.0 + 0.0j}
         omega = 2.0 * np.pi * 1e4
-        ref_y, ref_rhs = system.assemble_ac_reference(
-            omega, op.device_ops, overrides
+        ref_y, ref_rhs = assemble_ac_reference(
+            system, omega, op.device_ops, overrides
         )
-        vec_y, vec_rhs = system.stamp_plan.assemble_ac_dense(
-            omega, op.device_ops, overrides
-        )
-        assert np.array_equal(ref_y, vec_y)
-        assert np.array_equal(ref_rhs, vec_rhs)
+        assert np.array_equal(ref_y, _ac_matrix(system, omega, op.device_ops))
+        assert np.array_equal(ref_rhs, system.stamp_plan.ac_rhs(overrides))
+        assert not np.array_equal(ref_rhs, system.stamp_plan.ac_rhs())
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +231,53 @@ class TestAcAssemblyAgreement:
 # ---------------------------------------------------------------------------
 
 
-def _solve_with_backend(monkeypatch, circuit, forced: bool):
+def _solve_with_backend(circuit, forced: bool):
     if forced:
-        monkeypatch.setenv(DENSE_ASSEMBLY_ENV, "1")
-    else:
-        monkeypatch.delenv(DENSE_ASSEMBLY_ENV, raising=False)
+        with reference_backend():
+            return operating_point(circuit, CMOS_5UM)
     return operating_point(circuit, CMOS_5UM)
 
 
 class TestOperatingPointParity:
     @pytest.mark.parametrize("key", CORPUS_KEYS)
-    def test_bundled_circuits_bit_identical(self, corpus, key, monkeypatch):
+    def test_bundled_circuits_bit_identical(self, corpus, key):
         """Below the sparse threshold the vectorized path shares the
         scalar accumulation order, so even the floating-point noise is
         identical: voltages, branch currents and iteration counts must
         match bit-for-bit."""
         circuit = corpus[key]
-        reference = _solve_with_backend(monkeypatch, circuit, forced=True)
-        vectorized = _solve_with_backend(monkeypatch, circuit, forced=False)
+        reference = _solve_with_backend(circuit, forced=True)
+        vectorized = _solve_with_backend(circuit, forced=False)
         assert reference.voltages == vectorized.voltages
         assert reference.source_currents == vectorized.source_currents
         assert reference.iterations == vectorized.iterations
         for name, ref_op in reference.device_ops.items():
             assert vectorized.device_ops[name].ids == ref_op.ids
 
-    def test_sparse_mesh_agrees_to_solver_precision(self, monkeypatch):
+    def test_sparse_mesh_agrees_to_solver_precision(self):
         circuit = _mesh_circuit(10)
-        reference = _solve_with_backend(monkeypatch, circuit, forced=True)
-        sparse = _solve_with_backend(monkeypatch, circuit, forced=False)
+        reference = _solve_with_backend(circuit, forced=True)
+        sparse = _solve_with_backend(circuit, forced=False)
         assert reference.iterations == sparse.iterations
         for node, voltage in reference.voltages.items():
             assert sparse.voltages[node] == pytest.approx(voltage, abs=1e-9)
+
+    def test_reference_backend_is_restored(self):
+        """Leaving the block puts every production path back."""
+        before = MnaSystem.assemble_dc_system
+        with reference_backend():
+            assert MnaSystem.assemble_dc_system is not before
+            assert not MnaSystem(_mesh_circuit(10), CMOS_5UM).use_sparse
+        assert MnaSystem.assemble_dc_system is before
+        assert MnaSystem(_mesh_circuit(10), CMOS_5UM).use_sparse
+
+    def test_shipped_simulator_has_one_path(self):
+        """No environment switch selects another numeric path, and the
+        reference stampers live only in the test oracle."""
+        package = Path(repro.simulator.__file__).parent
+        for module in package.glob("*.py"):
+            assert "environ" not in module.read_text(encoding="utf-8"), module
+        assert not [name for name in dir(MnaSystem) if "reference" in name]
 
 
 class TestSolverCounterParity:
@@ -257,36 +287,122 @@ class TestSolverCounterParity:
 
     COUNTERS = ("dc.lu_solves", "dc.newton.iterations", "dc.solves")
 
-    def _counters_for(self, monkeypatch, circuit, forced):
-        if forced:
-            monkeypatch.setenv(DENSE_ASSEMBLY_ENV, "1")
-        else:
-            monkeypatch.delenv(DENSE_ASSEMBLY_ENV, raising=False)
+    def _counters_for(self, circuit, forced):
         tracer = Tracer()
         with tracer.activate():
-            op = operating_point(circuit, CMOS_5UM)
+            op = _solve_with_backend(circuit, forced)
         totals = {
             name: tracer.metrics.counter_total(name) for name in self.COUNTERS
         }
         return op, totals
 
     @pytest.mark.parametrize("key", ("testcase_A", "testcase_C", "adc_preamp"))
-    def test_dense_sized_counter_parity(self, corpus, key, monkeypatch):
-        _, ref = self._counters_for(monkeypatch, corpus[key], forced=True)
-        _, vec = self._counters_for(monkeypatch, corpus[key], forced=False)
+    def test_dense_sized_counter_parity(self, corpus, key):
+        _, ref = self._counters_for(corpus[key], forced=True)
+        _, vec = self._counters_for(corpus[key], forced=False)
         assert ref == vec
         assert ref["dc.lu_solves"] > 0
 
-    def test_sparse_tier_counter_parity(self, monkeypatch):
+    def test_sparse_tier_counter_parity(self):
         circuit = _mesh_circuit(10)
-        _, ref = self._counters_for(monkeypatch, circuit, forced=True)
-        _, sparse = self._counters_for(monkeypatch, circuit, forced=False)
+        _, ref = self._counters_for(circuit, forced=True)
+        _, sparse = self._counters_for(circuit, forced=False)
         assert ref == sparse
+
+
+# ---------------------------------------------------------------------------
+# Small-signal and transient analyses end to end.
+# ---------------------------------------------------------------------------
+
+
+class TestAnalysisParity:
+    """The stacked grid solve and the companion-bank integrator against
+    the per-frequency loop and the per-capacitor integrator."""
+
+    FREQS = np.logspace(0, 8, 33)
+
+    @pytest.mark.parametrize("key", ("testcase_A", "testcase_C", "fixture_ota_5t"))
+    def test_ac_sweep_bit_identical(self, corpus, key):
+        circuit = corpus[key]
+        op = operating_point(circuit, CMOS_5UM)
+        vectorized = ac_analysis(circuit, CMOS_5UM, op, self.FREQS)
+        with reference_backend():
+            reference = ac_analysis(circuit, CMOS_5UM, op, self.FREQS)
+        assert reference.phasors.keys() == vectorized.phasors.keys()
+        for node, phasor in reference.phasors.items():
+            assert np.array_equal(phasor, vectorized.phasors[node])
+
+    def test_sparse_ac_sweep_agrees(self):
+        circuit = _mesh_circuit(10)
+        circuit.add_capacitor("cload", "n5_5", GROUND, 1e-12)
+        op = operating_point(circuit, CMOS_5UM)
+        drive = {"vdd": 1.0}
+        vectorized = ac_analysis(
+            circuit, CMOS_5UM, op, self.FREQS, source_overrides=drive
+        )
+        with reference_backend():
+            reference = ac_analysis(
+                circuit, CMOS_5UM, op, self.FREQS, source_overrides=drive
+            )
+        for node, phasor in reference.phasors.items():
+            np.testing.assert_allclose(
+                vectorized.phasors[node], phasor, rtol=1e-9, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("key", ("testcase_A", "testcase_B"))
+    def test_noise_bit_identical(self, corpus, key):
+        circuit = corpus[key]
+        op = operating_point(circuit, CMOS_5UM)
+        vectorized = noise_analysis(circuit, CMOS_5UM, op, self.FREQS, "out")
+        with reference_backend():
+            reference = noise_analysis(circuit, CMOS_5UM, op, self.FREQS, "out")
+        assert np.array_equal(reference.output_psd, vectorized.output_psd)
+        for name, share in reference.contributions.items():
+            assert np.array_equal(share, vectorized.contributions[name])
+
+    def test_mismatch_sensitivity_bit_identical(self):
+        from repro.opamp.mismatch import device_offset_sensitivities
+
+        amp = synthesize(paper_test_cases()["A"], CMOS_5UM).best
+        vectorized = device_offset_sensitivities(amp)
+        with reference_backend():
+            reference = device_offset_sensitivities(amp)
+        assert reference == vectorized
+
+    @pytest.mark.parametrize("key", ("testcase_A", "fixture_ota_5t"))
+    def test_transient_step_agrees(self, corpus, key):
+        circuit = corpus[key]
+        source = next(
+            e
+            for e in circuit.elements
+            if isinstance(e, VoltageSource) and e.positive == "inp"
+        )
+        stimuli = {
+            source.name: step_waveform(
+                source.dc, source.dc + 1e-3, t_step=2e-7, t_rise=1e-8
+            )
+        }
+        vectorized = transient_analysis(
+            circuit, CMOS_5UM, t_stop=2e-6, t_step=2e-8, stimuli=stimuli
+        )
+        with reference_backend():
+            reference = transient_analysis(
+                circuit, CMOS_5UM, t_stop=2e-6, t_step=2e-8, stimuli=stimuli
+            )
+        assert np.array_equal(reference.times, vectorized.times)
+        for node, wave in reference.waveforms.items():
+            np.testing.assert_allclose(
+                vectorized.waveforms[node], wave, rtol=0.0, atol=1e-9
+            )
 
 
 # ---------------------------------------------------------------------------
 # Corner-batched evaluation vs. per-corner solo solves.
 # ---------------------------------------------------------------------------
+
+
+def _corner_process(corner):
+    return CMOS_5UM if corner == "typical" else CMOS_5UM.corner(corner)
 
 
 class TestCornerBatchParity:
@@ -305,10 +421,7 @@ class TestCornerBatchParity:
         batched = corner_operating_points(circuit, CMOS_5UM)
         assert set(batched) == {"typical", "fast", "slow"}
         for corner, result in batched.items():
-            process = (
-                CMOS_5UM if corner == "typical" else CMOS_5UM.corner(corner)
-            )
-            solo = operating_point(circuit, process)
+            solo = operating_point(circuit, _corner_process(corner))
             assert result.iterations == solo.iterations
             for node, voltage in solo.voltages.items():
                 assert result.voltages[node] == pytest.approx(
@@ -319,12 +432,50 @@ class TestCornerBatchParity:
         circuit = corpus["testcase_A"]
         batched = corner_operating_points(circuit, CMOS_5UM)
         for corner, result in batched.items():
-            process = (
-                CMOS_5UM if corner == "typical" else CMOS_5UM.corner(corner)
-            )
-            solo = operating_point(circuit, process)
+            solo = operating_point(circuit, _corner_process(corner))
             assert result.voltages == solo.voltages
             assert result.iterations == solo.iterations
+
+    def test_warm_started_corners_match_solo_exactly(self, corpus):
+        """A warm guess puts both paths on the plain rung first."""
+        circuit = corpus["testcase_B"]
+        guess = operating_point(circuit, CMOS_5UM).voltages
+        batched = corner_operating_points(circuit, CMOS_5UM, initial_guess=guess)
+        for corner, result in batched.items():
+            solo = operating_point(
+                circuit, _corner_process(corner), initial_guess=guess
+            )
+            assert result.voltages == solo.voltages
+            assert result.iterations == solo.iterations
+
+    def test_corner_solves_count_like_solo_solves(self, corpus):
+        circuit = corpus["testcase_C"]
+        counters = ("dc.solves", "dc.lu_solves", "dc.newton.iterations")
+
+        def totals(solve):
+            tracer = Tracer()
+            with tracer.activate():
+                solve()
+            return {name: tracer.metrics.counter_total(name) for name in counters}
+
+        batched = totals(lambda: corner_operating_points(circuit, CMOS_5UM))
+        solo = totals(
+            lambda: [
+                operating_point(circuit, _corner_process(corner))
+                for corner in ("typical", "fast", "slow")
+            ]
+        )
+        assert batched == solo
+        assert batched["dc.solves"] == 3
+
+    def test_reference_backend_corners_match(self, corpus):
+        circuit = corpus["testcase_C"]
+        vectorized = corner_operating_points(circuit, CMOS_5UM)
+        with reference_backend():
+            reference = corner_operating_points(circuit, CMOS_5UM)
+        for corner, result in reference.items():
+            assert vectorized[corner].voltages == result.voltages
+            assert vectorized[corner].iterations == result.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +545,7 @@ class TestHypothesisOracle:
         system = MnaSystem(circuit, CMOS_5UM)
         rng = np.random.default_rng(seed)
         x = rng.uniform(-5.0, 5.0, size=system.size)
-        ref_f, ref_j, _ = system.assemble_dc_reference(x, 1e-12, 1.0)
+        ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
         vec_f, vec_j, _ = system.stamp_plan.assemble_dc_dense(x, 1e-12, 1.0)
         np.testing.assert_allclose(vec_f, ref_f, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(vec_j, ref_j, rtol=0.0, atol=1e-12)
@@ -411,18 +562,14 @@ class TestHypothesisOracle:
     def test_random_operating_point_same_outcome(self, circuit):
         """Both backends converge to the same point with the same
         iteration count, or both fail with ConvergenceError."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv(DENSE_ASSEMBLY_ENV, "1")
-            try:
-                reference = operating_point(circuit, CMOS_5UM)
-            except ConvergenceError:
-                reference = None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.delenv(DENSE_ASSEMBLY_ENV, raising=False)
-            try:
-                vectorized = operating_point(circuit, CMOS_5UM)
-            except ConvergenceError:
-                vectorized = None
+        try:
+            reference = _solve_with_backend(circuit, forced=True)
+        except ConvergenceError:
+            reference = None
+        try:
+            vectorized = _solve_with_backend(circuit, forced=False)
+        except ConvergenceError:
+            vectorized = None
         if reference is None:
             assert vectorized is None
         else:
