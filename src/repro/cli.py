@@ -702,56 +702,59 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synthesize(args) -> int:
+    from contextlib import nullcontext
+
+    from .obs import RunReport, Tracer
     from .opamp import EXTENDED_STYLES, OPAMP_STYLES, synthesize, verify_opamp
     from .circuit import to_spice
 
     process = _process_from_args(args)
     spec = _spec_or_testcase(args)
     styles = EXTENDED_STYLES if args.styles == "extended" else OPAMP_STYLES
-    result = synthesize(
-        spec,
-        process,
-        styles=styles,
-        precheck=args.precheck,
-        best_effort=args.best_effort,
-        budget_ms=args.budget_ms,
-        observe=bool(args.trace_out),
-    )
-    print(result.summary())
-    if args.trace_out and result.report is not None:
-        result.report.write(args.trace_out, args.trace_format)
-        print(
-            f"Trace ({args.trace_format}, {len(result.report.spans)} spans) "
-            f"written to {args.trace_out}"
+    # One tracer spans synthesis and verification.
+    tracer = Tracer() if args.trace_out else None
+    with tracer.activate() if tracer is not None else nullcontext():
+        result = synthesize(
+            spec,
+            process,
+            styles=styles,
+            precheck=args.precheck,
+            best_effort=args.best_effort,
+            budget_ms=args.budget_ms,
         )
-    if not result.ok:
-        # best-effort run with no surviving style: the failure reports
-        # (already rendered by summary()) are the product; exit 3 so
-        # batch drivers can count them without parsing.
+        print(result.summary())
+        if result.ok:
+            print(result.best.schematic())
         if args.trace:
             print("Design trace")
             print("============")
             print(result.trace.render())
-        return 3
-    print(result.best.schematic())
-    if args.trace:
-        print("Design trace")
-        print("============")
-        print(result.trace.render())
-    if args.spice:
-        deck = to_spice(result.best.standalone_circuit(), process=process)
-        with open(args.spice, "w", encoding="utf-8") as handle:
-            handle.write(deck)
-        print(f"SPICE deck written to {args.spice}")
-    if args.verify:
-        report = verify_opamp(result.best)
-        print("Simulator verification")
-        print("======================")
-        for key in sorted(report.measured):
-            print(f"  {key:<18} {report.measured[key]:.4g}")
-        for key, note in report.notes.items():
-            print(f"  {key}: {note}")
-    return 0
+        if result.ok and args.spice:
+            deck = to_spice(result.best.standalone_circuit(), process=process)
+            with open(args.spice, "w", encoding="utf-8") as handle:
+                handle.write(deck)
+            print(f"SPICE deck written to {args.spice}")
+        if result.ok and args.verify:
+            report = verify_opamp(result.best)
+            print("Simulator verification")
+            print("======================")
+            for key in sorted(report.measured):
+                print(f"  {key:<18} {report.measured[key]:.4g}")
+            for key, note in report.notes.items():
+                print(f"  {key}: {note}")
+    if tracer is not None:
+        run = RunReport.from_tracer(
+            tracer, result.trace.to_dicts(), result.report.meta
+        )
+        run.write(args.trace_out, args.trace_format)
+        print(
+            f"Trace ({args.trace_format}, {len(run.spans)} spans) "
+            f"written to {args.trace_out}"
+        )
+    # A best-effort run with no surviving style: the failure reports
+    # (already rendered by summary()) are the product; exit 3 so batch
+    # drivers can count them without parsing.
+    return 0 if result.ok else 3
 
 
 def _cmd_testcases(args) -> int:

@@ -34,7 +34,7 @@ from ..simulator.ac import ac_analysis
 from ..simulator.dc import operating_point
 from ..simulator.mna import MnaSystem
 from .result import DesignedOpAmp
-from .verify import _find_offset, _open_loop_testbench
+from .verify import offset_nulled_bias
 
 __all__ = [
     "device_offset_sensitivities",
@@ -54,9 +54,7 @@ def device_offset_sensitivities(amp: DesignedOpAmp) -> Dict[str, float]:
     millivolts.  Input-pair devices sit near 1.0; devices later in the
     signal chain are attenuated by the preceding gain.
     """
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    op = operating_point(circuit, amp.process)
+    _, circuit, op = offset_nulled_bias(amp)
     system = MnaSystem(circuit, amp.process)
     out_index = system.index_of("out")
 
@@ -128,10 +126,7 @@ def monte_carlo_offset_mv(
     if samples < 2:
         raise SimulationError("need at least 2 Monte Carlo samples")
     rng = np.random.default_rng(seed)
-    nominal_offset, _ = _find_offset(amp)
-
-    circuit = _open_loop_testbench(amp, nominal_offset)
-    op = operating_point(circuit, amp.process)
+    nominal_offset, circuit, op = offset_nulled_bias(amp)
     ac = ac_analysis(circuit, amp.process, op, [_F_DC])
     gain = abs(ac.voltage("out")[0])
     half = amp.process.supply_span / 2.0
@@ -155,37 +150,6 @@ def monte_carlo_offset_mv(
             offsets.append(-v_out / gain)
         else:
             # Railed: bisect the input that re-centres the output.
-            offsets.append(
-                _bisect_offset(amp, shifts, nominal_offset) - nominal_offset
-            )
+            railed = offset_nulled_bias(amp, shifts, centre=nominal_offset)
+            offsets.append(railed.offset_v - nominal_offset)
     return np.asarray(offsets) * 1e3
-
-
-def _bisect_offset(
-    amp: DesignedOpAmp,
-    shifts: Dict[str, float],
-    centre: float,
-    search: float = 0.3,
-    iterations: int = 30,
-) -> float:
-    lo, hi = centre - search, centre + search
-
-    def out_at(vin: float) -> float:
-        circuit = _open_loop_testbench(amp, vin)
-        return operating_point(circuit, amp.process, vth_shifts=shifts).voltage(
-            "out"
-        )
-
-    if out_at(lo) > 0 or out_at(hi) < 0:
-        raise SimulationError("Monte Carlo sample railed beyond the search window")
-    mid = centre
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        v = out_at(mid)
-        if abs(v) < 1e-3:
-            break
-        if v > 0:
-            hi = mid
-        else:
-            lo = mid
-    return mid

@@ -6,7 +6,10 @@ in-repo MNA simulator:
 
 * **offset**: the differential input voltage that centres the output,
   found by bisection on DC operating points (this *is* the measured
-  input-referred offset, systematic effects included);
+  input-referred offset, systematic effects included).  The search,
+  :func:`offset_nulled_bias`, runs once per :func:`verify_opamp`: offset,
+  power, AC, rejection and noise are all measured at its
+  :class:`BiasPoint`, and ``notes`` say why when there is none;
 * **gain / UGF / phase margin**: open-loop AC analysis at the
   offset-nulled operating point;
 * **output swing**: a unity-gain buffer swept across the rails; the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from ..simulator.analysis import (
     slew_rate_from_waveform,
 )
 from ..simulator.dc import operating_point
+from ..simulator.mna import OperatingPointResult
 from ..simulator.transient import step_waveform, transient_analysis
 from .result import DesignedOpAmp
 
@@ -71,45 +75,55 @@ def _open_loop_testbench(amp: DesignedOpAmp, vin_offset: float) -> Circuit:
     return builder.build()
 
 
-def _find_offset(
+class BiasPoint(NamedTuple):
+    """The open-loop testbench driven at the input offset that centres
+    the output, and its DC operating point."""
+
+    offset_v: float
+    circuit: Circuit
+    op: OperatingPointResult
+
+
+def offset_nulled_bias(
     amp: DesignedOpAmp,
-    search: float = 0.3,
-    iterations: int = 40,
-    target_tolerance: float = 1e-3,
-):
-    """Bisect the differential input that centres the output at 0 V.
+    vth_shifts: Optional[Dict[str, float]] = None,
+    centre: float = 0.0,
+) -> BiasPoint:
+    """Bisect ``centre`` +- 0.3 V of differential input for the one
+    that centres the output at 0 V; ``vth_shifts`` perturbs thresholds
+    (the Monte Carlo mismatch hook).  Raises SimulationError when the
+    output does not cross 0 V in that window (amp broken or railed)."""
 
-    Returns (offset_voltage, operating_point) or raises SimulationError
-    when the output cannot be centred within the search window (the amp
-    is broken or railed).
-    """
-
-    def output_at(vin: float):
+    def output_at(vin: float) -> float:
         circuit = _open_loop_testbench(amp, vin)
-        op = operating_point(circuit, amp.process)
-        return op.voltage("out"), op
+        op = operating_point(circuit, amp.process, vth_shifts=vth_shifts)
+        return op.voltage("out")
 
-    lo, hi = -search, search
-    v_lo, _ = output_at(lo)
-    v_hi, _ = output_at(hi)
+    lo, hi = centre - 0.3, centre + 0.3
+    v_lo, v_hi = output_at(lo), output_at(hi)
     if v_lo > 0 or v_hi < 0:
         raise SimulationError(
-            f"output does not cross 0 V within +-{search} V differential "
-            f"input (got {v_lo:.2f} V .. {v_hi:.2f} V); amplifier polarity "
-            f"or bias is broken"
+            f"output does not cross 0 V within {lo:+.3f} .. {hi:+.3f} V "
+            f"differential input (got {v_lo:.2f} V .. {v_hi:.2f} V); "
+            f"amplifier polarity or bias is broken"
         )
-    best_op = None
-    mid = 0.0
-    for _ in range(iterations):
+    mid = centre
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
-        v_mid, best_op = output_at(mid)
-        if abs(v_mid) < target_tolerance:
+        v_mid = output_at(mid)
+        if abs(v_mid) < 1e-3:
             break
         if v_mid > 0:
             hi = mid
         else:
             lo = mid
-    return mid, best_op
+    circuit = _open_loop_testbench(amp, mid)
+    # Thread the amp's design trace through, so a solve that needed the
+    # retry ladder leaves its escalation history next to the plan events.
+    op = operating_point(
+        circuit, amp.process, vth_shifts=vth_shifts, trace=amp.trace
+    )
+    return BiasPoint(mid, circuit, op)
 
 
 def open_loop_response(
@@ -123,21 +137,28 @@ def open_loop_response(
     The DC point is offset-nulled first so every device is in its
     intended region.
     """
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(circuit, amp.process, trace=amp.trace)
+    return _frequency_response(
+        amp, offset_nulled_bias(amp), f_start, f_stop, points_per_decade
+    )
+
+
+def _frequency_response(
+    amp: DesignedOpAmp,
+    bias: BiasPoint,
+    f_start: float = 1.0,
+    f_stop: Optional[float] = None,
+    points_per_decade: int = 15,
+) -> FrequencyResponse:
     if f_stop is None:
         f_stop = max(10.0 * amp.spec.unity_gain_hz, 1e7)
     freqs = log_frequencies(f_start, f_stop, points_per_decade)
-    ac = ac_analysis(circuit, amp.process, op, freqs)
+    ac = ac_analysis(bias.circuit, amp.process, bias.op, freqs)
     return FrequencyResponse(freqs, ac.voltage("out"))
 
 
-def _buffer_testbench(amp: DesignedOpAmp, vin: float) -> Circuit:
+def _buffer_testbench(amp: DesignedOpAmp, vin: float, name: str = "buf_tb") -> Circuit:
     """Unity-gain buffer: inn tied to out."""
-    builder = CircuitBuilder("buf_tb", amp.process)
+    builder = CircuitBuilder(name, amp.process)
     builder.supplies()
     builder.vsource("in", "inp", "0", dc=vin)
     builder.capacitor("load", "out", "0", amp.spec.load_capacitance)
@@ -176,15 +197,8 @@ def _measure_slew(amp: DesignedOpAmp, swing: float):
     expected = amp.performance.get("slew_rate", amp.spec.slew_rate)
     duration = 4.0 * (2.0 * step) / expected
     t_step = duration / 600.0
-    builder = CircuitBuilder("slew_tb", amp.process)
-    builder.supplies()
-    builder.vsource("in", "inp", "0", dc=-step)
-    builder.capacitor("load", "out", "0", amp.spec.load_capacitance)
-    builder.resistor("leak", "out", "0", 1e12)
-    amp.emit(builder, "inp", "out", "out")
-    circuit = builder.build()
     result = transient_analysis(
-        circuit,
+        _buffer_testbench(amp, -step, "slew_tb"),
         amp.process,
         t_stop=duration,
         t_step=t_step,
@@ -214,17 +228,19 @@ def measure_rejection(
         ``{"cmrr_db", "psrr_vdd_db", "psrr_vss_db"}`` (a PSRR key is
         omitted when the circuit has no corresponding supply source).
     """
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(circuit, amp.process, trace=amp.trace)
+    return _rejection(amp, offset_nulled_bias(amp), frequency)
+
+
+def _rejection(
+    amp: DesignedOpAmp, bias: BiasPoint, frequency: float = 100.0
+) -> Dict[str, float]:
+    circuit = bias.circuit
 
     def out_amplitude(overrides: Dict[str, complex]) -> float:
         base = {"vin": 0.0, "vinn": 0.0, "vdd": 0.0, "vss": 0.0}
         base.update(overrides)
         present = {k: v for k, v in base.items() if k in circuit}
-        ac = ac_analysis(circuit, amp.process, op, [frequency], present)
+        ac = ac_analysis(circuit, amp.process, bias.op, [frequency], present)
         return float(abs(ac.voltage("out")[0]))
 
     a_dm = out_amplitude({"vin": 0.5, "vinn": -0.5})
@@ -249,17 +265,16 @@ def input_noise_spectrum(amp: DesignedOpAmp, frequencies):
         :class:`~repro.simulator.noise.NoiseResult` with per-element
         attribution.
     """
+    return _noise_spectrum(amp, offset_nulled_bias(amp), frequencies)
+
+
+def _noise_spectrum(amp: DesignedOpAmp, bias: BiasPoint, frequencies):
     from ..simulator.noise import noise_analysis
 
     freqs = list(frequencies)
-    offset, _ = _find_offset(amp)
-    circuit = _open_loop_testbench(amp, offset)
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(circuit, amp.process, trace=amp.trace)
-    ac = ac_analysis(circuit, amp.process, op, freqs)
+    ac = ac_analysis(bias.circuit, amp.process, bias.op, freqs)
     gain = np.abs(ac.voltage("out"))
-    noise = noise_analysis(circuit, amp.process, op, freqs, "out")
+    noise = noise_analysis(bias.circuit, amp.process, bias.op, freqs, "out")
     return noise.input_referred_density(gain) * 1e9, noise
 
 
@@ -277,8 +292,14 @@ def measure_input_noise(
         ``{"input_noise_nv_1k", "input_noise_nv_100k",
         "noise_dominant_element"}``.
     """
+    return _input_noise(amp, offset_nulled_bias(amp), frequencies)
+
+
+def _input_noise(
+    amp: DesignedOpAmp, bias: BiasPoint, frequencies: Optional[list] = None
+) -> Dict[str, float]:
     freqs = frequencies or [1e3, 1e5]
-    density_nv, noise = input_noise_spectrum(amp, freqs)
+    density_nv, noise = _noise_spectrum(amp, bias, freqs)
     results = {
         "input_noise_nv_1k": float(density_nv[0]),
         "noise_dominant_element": noise.dominant_contributor(0),
@@ -312,25 +333,34 @@ def verify_opamp(
     with obs_span(
         f"verify:{amp.style}", category="verify", style=amp.style
     ) as verify_span:
-        with obs_span("verify:offset", category="verify"):
-            offset, op = _find_offset(amp)
-        report.offset_v = offset
-        report.measured["offset_mv"] = abs(offset) * 1e3
-        report.measured["power"] = abs(op.total_power())
-        metric_count("verify.measurements", phase="offset")
+        bias: Optional[BiasPoint] = None
+        try:
+            with obs_span("verify:offset", category="verify"):
+                bias = offset_nulled_bias(amp)
+        except SimulationError as exc:
+            # Swing and slew need no bias point and still run.
+            note = f"no offset-nulled bias point: {exc}"
+            report.notes.update(offset=note, ac=note)
+            report.offset_v = math.nan
+            metric_count("verify.failures", phase="offset")
+        if bias is not None:
+            report.offset_v = bias.offset_v
+            report.measured["offset_mv"] = abs(bias.offset_v) * 1e3
+            report.measured["power"] = abs(bias.op.total_power())
+            metric_count("verify.measurements", phase="offset")
 
-        with obs_span("verify:ac", category="verify"):
-            response = open_loop_response(amp)
-        metric_count("verify.measurements", phase="ac")
-        report.measured["gain_db"] = response.dc_gain_db
-        f_unity = crossover_frequency(response)
-        if f_unity is not None:
-            report.measured["unity_gain_hz"] = f_unity
-            pm = phase_margin_deg(response)
-            if pm is not None:
-                report.measured["phase_margin_deg"] = pm
-        else:
-            report.notes["unity_gain_hz"] = "no 0 dB crossing in sweep"
+            with obs_span("verify:ac", category="verify"):
+                response = _frequency_response(amp, bias)
+            metric_count("verify.measurements", phase="ac")
+            report.measured["gain_db"] = response.dc_gain_db
+            f_unity = crossover_frequency(response)
+            if f_unity is not None:
+                report.measured["unity_gain_hz"] = f_unity
+                pm = phase_margin_deg(response)
+                if pm is not None:
+                    report.measured["phase_margin_deg"] = pm
+            else:
+                report.notes["unity_gain_hz"] = "no 0 dB crossing in sweep"
 
         if measure_swing:
             with obs_span("verify:swing", category="verify"):
@@ -352,19 +382,19 @@ def verify_opamp(
                 report.notes["slew_rate"] = f"transient failed: {exc}"
                 metric_count("verify.failures", phase="slew")
 
-        if measure_rejections:
+        if measure_rejections and bias is not None:
             try:
                 with obs_span("verify:rejection", category="verify"):
-                    report.measured.update(measure_rejection(amp))
+                    report.measured.update(_rejection(amp, bias))
                 metric_count("verify.measurements", phase="rejection")
             except (ConvergenceError, SimulationError) as exc:
                 report.notes["rejection"] = f"CMRR/PSRR failed: {exc}"
                 metric_count("verify.failures", phase="rejection")
 
-        if measure_noise:
+        if measure_noise and bias is not None:
             try:
                 with obs_span("verify:noise", category="verify"):
-                    results = measure_input_noise(amp)
+                    results = _input_noise(amp, bias)
                 report.notes["noise_dominant_element"] = results.pop(
                     "noise_dominant_element"
                 )

@@ -6,8 +6,9 @@ paper's SPICE transient runs.
 
 Capacitors (explicit elements and the MOSFET intrinsic/junction
 capacitances evaluated quasi-statically at each accepted timepoint) are
-replaced by their trapezoidal companion models; the resulting nonlinear
-system is solved by the same damped NR as the DC solver.
+replaced by their trapezoidal companion models; each timestep is solved
+by its own damped NR (``_solve_timestep``), which has no retry ladder and
+a convergence test 100x looser (``100 * VTOL``) than the DC solver's.
 
 Voltage sources may be driven by arbitrary waveforms via ``stimuli``:
 a mapping from source name to ``f(t) -> volts``.

@@ -465,6 +465,28 @@ class TestObservabilityCli:
         assert "JSONL trace:" in out
         assert "synthesize" in out
 
+    def test_trace_out_covers_verification(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "trace.jsonl"
+        argv = ["synth", "--testcase", "A", "--verify", "--trace-out", str(path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # The trace is written after verification, not before it.
+        assert out.index("Simulator verification") < out.index("Trace (jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        by_type = {}
+        for record in records:
+            by_type.setdefault(record["type"], []).append(record)
+        names = {span["name"] for span in by_type["span"]}
+        assert {"synthesize", "verify:offset", "verify:ac"} <= names
+        [metrics] = by_type["metrics"]
+        assert metrics["metrics"]["counters"]["dc.solves"] > 0
+        # The design-trace events and run metadata are still there.
+        assert any(e["kind"] == "plan_start" for e in by_type["event"])
+        [meta] = by_type["meta"]
+        assert meta["label"] == "synthesize" and meta["winner"] == "one_stage"
+
     def test_stats_runs_observed_synthesis(self, capsys):
         assert main(["stats", "--testcase", "B"]) == 0
         out = capsys.readouterr().out

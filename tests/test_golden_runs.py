@@ -150,3 +150,78 @@ class TestGoldenAcrossTheBatchEngine:
         for label in CASES:
             assert cold[label] == golden[label], label
             assert warm[label] == golden[label], label
+
+
+# ----------------------------------------------------------------------
+# What verification measures
+# ----------------------------------------------------------------------
+def _canonical(record) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def _current_verify_json(label: str) -> str:
+    from repro.opamp.verify import verify_opamp
+
+    amp = synthesize(paper_test_cases()[label], CMOS_5UM).best
+    report = verify_opamp(amp, measure_rejections=True, measure_noise=True)
+    return _canonical(
+        {
+            "measured": report.measured,
+            "offset_v": report.offset_v,
+            "notes": report.notes,
+        }
+    )
+
+
+def _current_mismatch_json() -> str:
+    from repro import OpAmpSpec
+    from repro.opamp.designer import design_style
+    from repro.opamp.mismatch import monte_carlo_offset_mv, predicted_offset_sigma_mv
+
+    # The one-stage ``ota`` fixture of tests/test_mismatch.py.
+    spec = OpAmpSpec(
+        gain_db=45.0,
+        unity_gain_hz=1e6,
+        phase_margin_deg=60.0,
+        slew_rate=2e6,
+        load_capacitance=10e-12,
+        output_swing=3.5,
+    )
+    ota = design_style("one_stage", spec, CMOS_5UM)
+    return _canonical(
+        {
+            "monte_carlo_offset_mv": [
+                float(v) for v in monte_carlo_offset_mv(ota, samples=40, seed=7)
+            ],
+            "predicted_offset_sigma_mv": predicted_offset_sigma_mv(ota),
+        }
+    )
+
+
+class TestGoldenMeasurements:
+    """What the simulator measures is pinned byte-for-byte.
+
+    ``verify_<label>.json`` holds ``verify_opamp``'s measured values,
+    offset and notes for each paper test case (every optional analysis
+    on); ``mismatch_ota.json`` holds a seeded Monte Carlo offset vector
+    and the analytic offset sigma.  The loose tolerance tests elsewhere
+    would not notice a model or solver change that moved these numbers.
+    """
+
+    @pytest.mark.parametrize(
+        "name", [f"verify_{label}" for label in CASES] + ["mismatch_ota"]
+    )
+    def test_measurements_reproduce_the_golden_bytes(self, name):
+        path = GOLDEN_DIR / f"{name}.json"
+        if name == "mismatch_ota":
+            current = _current_mismatch_json()
+        else:
+            current = _current_verify_json(name.removeprefix("verify_"))
+        if UPDATE:
+            path.write_text(current, encoding="utf-8")
+        if not path.exists():
+            pytest.fail(
+                f"missing golden file {path}; regenerate with "
+                "REPRO_UPDATE_GOLDEN=1"
+            )
+        assert current == path.read_text(encoding="utf-8")

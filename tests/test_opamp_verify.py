@@ -5,12 +5,20 @@ every design the synthesizer emits must bias up, amplify, and roughly
 match its predicted performance.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec, synthesize, verify_opamp
+from repro.errors import SimulationError
+from repro.obs import Tracer
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import SPEC_A, SPEC_B, SPEC_C
-from repro.opamp.verify import open_loop_response
+from repro.opamp.verify import (
+    measure_rejection,
+    offset_nulled_bias,
+    open_loop_response,
+)
 from repro.simulator.analysis import crossover_frequency
 
 
@@ -121,3 +129,74 @@ class TestPredictionAccuracy:
         assert report.get("power") == pytest.approx(
             amp_b.performance["power"], rel=0.2
         )
+
+
+def _dc_solves(run) -> float:
+    tracer = Tracer()
+    with tracer.activate():
+        run()
+    return tracer.metrics.counter_total("dc.solves")
+
+
+class TestSharedBiasPoint:
+    """verify_opamp finds the offset-nulled bias point once and takes
+    every small-signal measurement there."""
+
+    def test_verify_searches_for_the_offset_once(self, amp_c):
+        # One bisection plus the traced solve at the offset it found;
+        # AC used to repeat the whole search.
+        search = _dc_solves(lambda: offset_nulled_bias(amp_c))
+        verify = _dc_solves(
+            lambda: verify_opamp(amp_c, measure_swing=False, measure_slew=False)
+        )
+        assert verify == search
+
+    def test_rejection_and_noise_reuse_the_bias_point(self, amp_a):
+        def verify():
+            verify_opamp(
+                amp_a,
+                measure_swing=False,
+                measure_slew=False,
+                measure_rejections=True,
+                measure_noise=True,
+            )
+
+        assert _dc_solves(verify) == _dc_solves(lambda: offset_nulled_bias(amp_a))
+
+    def test_bias_point_matches_the_report(self, amp_a):
+        bias = offset_nulled_bias(amp_a)
+        report = verify_opamp(amp_a, measure_swing=False, measure_slew=False)
+        assert report.offset_v == bias.offset_v
+        assert report.get("power") == abs(bias.op.total_power())
+        assert abs(bias.op.voltage("out")) < 1e-3
+
+
+@pytest.fixture(scope="module")
+def inverted_amp(amp_a):
+    """Case A with its inputs swapped: the output never crosses 0 V
+    where the offset search looks for it."""
+    return dataclasses.replace(
+        amp_a, emit=lambda builder, inp, inn, out: amp_a.emit(builder, inn, inp, out)
+    )
+
+
+class TestUncentredOutput:
+    def test_verify_reports_instead_of_raising(self, inverted_amp):
+        report = verify_opamp(
+            inverted_amp, measure_rejections=True, measure_noise=True
+        )
+        for key in ("offset", "ac"):
+            assert "output does not cross 0 V" in report.notes[key]
+        for key in ("offset_mv", "power", "gain_db", "cmrr_db", "input_noise_nv_1k"):
+            assert key not in report.measured
+        assert report.offset_v != report.offset_v  # NaN: no offset found
+        # Swing and slew need no bias point and still run.
+        assert "output_swing" in report.measured
+        assert "slew_rate" in report.measured or "slew_rate" in report.notes
+
+    @pytest.mark.parametrize(
+        "measure", [offset_nulled_bias, open_loop_response, measure_rejection]
+    )
+    def test_standalone_measurements_still_raise(self, inverted_amp, measure):
+        with pytest.raises(SimulationError, match="does not cross 0 V"):
+            measure(inverted_amp)
