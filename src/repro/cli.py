@@ -435,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--cache",
         action="store_true",
-        help="run the observed synthesis twice under a result cache and "
-        "print the hit/miss statistics (cold run then warm rerun)",
+        help="synthesize once and verify the design twice under a result "
+        "cache (cold run then warm rerun), then print the report and the "
+        "hit/miss statistics",
     )
     stats.add_argument(
         "--cache-dir",
@@ -1081,7 +1082,11 @@ def _cmd_stats(args) -> int:
             print(summarize_jsonl(handle.read()))
         return 0
 
-    from .opamp import synthesize
+    from contextlib import nullcontext
+
+    from .cache import ResultCache, cache_scope
+    from .obs import RunReport, Tracer
+    from .opamp import synthesize, verify_opamp
 
     spec_flags_given = any(
         getattr(args, name) is not None for name in _SPEC_FLAGS
@@ -1093,27 +1098,24 @@ def _cmd_stats(args) -> int:
         )
     process = _process_from_args(args)
     spec = _spec_or_testcase(args)
+    cache = None
     if args.cache or args.cache_dir:
-        # Synthesis itself is analytic; the cache earns its keep on the
-        # *simulator* (DC operating points).  Verify twice -- cold then
-        # warm -- so the hit/miss statistics show real traffic.
-        from .cache import ResultCache, cache_scope
-        from .opamp import verify_opamp
-
         cache = ResultCache(disk_dir=args.cache_dir)
-        with cache_scope(cache):
-            result = synthesize(spec, process, observe=True)
-            if result.best is not None:
-                verify_opamp(result.best)  # cold: populate
-                verify_opamp(result.best)  # warm: hits
-        assert result.report is not None
-        print(result.report.summary())
+    # One tracer spans synthesis and, under a cache, both verifications:
+    # synthesis itself is analytic, the cache earns its keep on the
+    # simulator's DC operating points, so verify twice -- cold then warm.
+    tracer = Tracer()
+    with cache_scope(cache) if cache else nullcontext(), tracer.activate():
+        result = synthesize(spec, process)
+        if cache is not None and result.best is not None:
+            verify_opamp(result.best)  # cold: populate
+            verify_opamp(result.best)  # warm: hits
+    assert result.report is not None  # an active tracer guarantees one
+    run = RunReport.from_tracer(tracer, result.trace.to_dicts(), result.report.meta)
+    print(run.summary())
+    if cache is not None:
         print()
         print(cache.render_stats())
-        return 0
-    result = synthesize(spec, process, observe=True)
-    assert result.report is not None  # observe=True guarantees a report
-    print(result.report.summary())
     return 0
 
 

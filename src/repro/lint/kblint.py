@@ -45,6 +45,7 @@ import ast
 import inspect
 import textwrap
 import types
+import weakref
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -54,6 +55,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -138,6 +140,37 @@ def _function_node(
         if node.lineno == target_line:
             return node
     return candidates[0] if len(candidates) == 1 else None
+
+
+class ParsedCallable(NamedTuple):
+    """A callable's dedented source and its own def/lambda node."""
+
+    source: str
+    node: ast.AST
+
+
+#: Weakly keyed, so a parsed function is dropped with the function.
+_PARSED: "weakref.WeakKeyDictionary[types.FunctionType, Optional[ParsedCallable]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def parse_callable(func: object) -> Optional[ParsedCallable]:
+    """``func``'s source and def/lambda node, parsed once per function
+    and shared by every static pass (KB lint, dataflow, units,
+    feasibility).  None when ``func`` is not a plain function, its
+    source is unavailable or unparsable, or its node is ambiguous."""
+    if not isinstance(func, types.FunctionType):
+        return None
+    if func not in _PARSED:
+        try:
+            lines, start_line = inspect.getsourcelines(func)
+            text = textwrap.dedent("".join(lines))
+            node = _function_node(func, ast.parse(text), start_line)
+        except (OSError, TypeError, SyntaxError):
+            node = None
+        _PARSED[func] = None if node is None else ParsedCallable(text, node)
+    return _PARSED[func]
 
 
 def _state_param(node: ast.AST) -> Optional[str]:
@@ -230,21 +263,15 @@ def analyze_callable(
         usage.resolved = False
         return usage
     _seen.add(func)
-    try:
-        lines, start_line = inspect.getsourcelines(func)
-        text = textwrap.dedent("".join(lines))
-        tree = ast.parse(text)
-    except (OSError, TypeError, SyntaxError, IndentationError):
-        tree = None
-    node = _function_node(func, tree, start_line) if tree is not None else None
-    if node is None:
+    parsed = parse_callable(func)
+    if parsed is None:
         usage.resolved = False
         _ANALYSIS_CACHE[func] = usage
         return usage
-    visitor = _UsageVisitor(_state_param(node))
-    visitor.visit(node)
+    visitor = _UsageVisitor(_state_param(parsed.node))
+    visitor.visit(parsed.node)
     usage = visitor.usage
-    usage.source = text
+    usage.source = parsed.source
     if depth > 0:
         for helper_name in visitor.helper_calls:
             helper = func.__globals__.get(helper_name)

@@ -46,8 +46,6 @@ DIM804 info     a stored quantity has a suspicious exponent vector
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 import types
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,7 +78,7 @@ from ..units import (
     Dim,
 )
 from .diagnostics import Diagnostic, LintReport, Severity
-from .kblint import KbContext
+from .kblint import KbContext, parse_callable
 from .registry import CheckerRegistry
 
 __all__ = [
@@ -280,27 +278,10 @@ class _DimInterpreter:
     def _eval_function(
         self, func: Any, arg_values: List[DimValue], depth: int
     ) -> DimValue:
-        if not isinstance(func, types.FunctionType) or depth < 0:
+        parsed = parse_callable(func) if depth >= 0 else None
+        if parsed is None:
             return UNKNOWN
-        try:
-            lines, _start = inspect.getsourcelines(func)
-            tree = ast.parse(textwrap.dedent("".join(lines)))
-        except (OSError, TypeError, SyntaxError, IndentationError):
-            return UNKNOWN
-        node: Optional[ast.AST] = None
-        for candidate in ast.walk(tree):
-            if isinstance(candidate, ast.FunctionDef) and (
-                candidate.name == func.__name__
-            ):
-                node = candidate
-                break
-            if isinstance(candidate, ast.Lambda) and (
-                func.__name__ == "<lambda>"
-            ):
-                node = candidate
-                break
-        if node is None:
-            return UNKNOWN
+        node = parsed.node
         params = [a.arg for a in node.args.args]
         local: Dict[str, DimValue] = {}
         for name, value in zip(params, arg_values):

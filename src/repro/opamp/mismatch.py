@@ -143,7 +143,12 @@ def monte_carlo_offset_mv(
         shifts = {
             name: float(rng.normal(0.0, sigma)) for name, sigma in sigmas.items()
         }
-        op_s = operating_point(circuit, amp.process, vth_shifts=shifts)
+        op_s = operating_point(
+            circuit,
+            amp.process,
+            vth_shifts=shifts,
+            source_values={"vin": nominal_offset},
+        )
         v_out = op_s.voltage("out")
         if abs(v_out) < 0.6 * half:
             # Linear extraction in the active region.

@@ -5,15 +5,17 @@ these circuits."  This module is that verification step, run on the
 in-repo MNA simulator:
 
 * **offset**: the differential input voltage that centres the output,
-  found by bisection on DC operating points (this *is* the measured
-  input-referred offset, systematic effects included).  The search,
-  :func:`offset_nulled_bias`, runs once per :func:`verify_opamp`: offset,
-  power, AC, rejection and noise are all measured at its
-  :class:`BiasPoint`, and ``notes`` say why when there is none;
+  found by bisection on DC operating points of one open-loop testbench
+  system (this *is* the measured input-referred offset, systematic
+  effects included).  The search, :func:`offset_nulled_bias`, runs once
+  per :func:`verify_opamp`: offset, power, AC, rejection and noise are
+  all measured at its :class:`BiasPoint`, and ``notes`` say why when
+  there is none;
 * **gain / UGF / phase margin**: open-loop AC analysis at the
   offset-nulled operating point;
-* **output swing**: a unity-gain buffer swept across the rails; the
-  swing is where the buffer stops tracking;
+* **output swing**: a unity-gain buffer swept across the rails with
+  :func:`~repro.simulator.sweep.dc_sweep`; the swing is where the buffer
+  stops tracking;
 * **slew rate**: large-signal step response of the unity-gain buffer;
 * **power**: total supply power at the quiescent point.
 """
@@ -40,7 +42,8 @@ from ..simulator.analysis import (
     slew_rate_from_waveform,
 )
 from ..simulator.dc import operating_point
-from ..simulator.mna import OperatingPointResult
+from ..simulator.mna import MnaSystem, OperatingPointResult
+from ..simulator.sweep import dc_sweep
 from ..simulator.transient import step_waveform, transient_analysis
 from .result import DesignedOpAmp
 
@@ -63,11 +66,12 @@ class VerificationReport:
         return self.measured.get(key, default)
 
 
-def _open_loop_testbench(amp: DesignedOpAmp, vin_offset: float) -> Circuit:
-    """Amp driven differentially at inp, inn grounded, load attached."""
+def _open_loop_testbench(amp: DesignedOpAmp) -> Circuit:
+    """Amp driven differentially by ``vin`` at inp, inn grounded, load
+    attached."""
     builder = CircuitBuilder("ol_tb", amp.process)
     builder.supplies()
-    builder.vsource("in", "inp", "0", dc=vin_offset, ac=1.0)
+    builder.vsource("in", "inp", "0", dc=0.0, ac=1.0)
     builder.vsource("inn", "inn", "0", dc=0.0)
     builder.capacitor("load", "out", "0", amp.spec.load_capacitance)
     builder.resistor("leak", "out", "0", 1e12)  # defines the DC level
@@ -76,8 +80,8 @@ def _open_loop_testbench(amp: DesignedOpAmp, vin_offset: float) -> Circuit:
 
 
 class BiasPoint(NamedTuple):
-    """The open-loop testbench driven at the input offset that centres
-    the output, and its DC operating point."""
+    """The input offset that centres the output, the open-loop testbench
+    (``vin`` at 0 V) and its DC operating point with ``vin`` at the offset."""
 
     offset_v: float
     circuit: Circuit
@@ -91,12 +95,14 @@ def offset_nulled_bias(
 ) -> BiasPoint:
     """Bisect ``centre`` +- 0.3 V of differential input for the one
     that centres the output at 0 V; ``vth_shifts`` perturbs thresholds
-    (the Monte Carlo mismatch hook).  Raises SimulationError when the
-    output does not cross 0 V in that window (amp broken or railed)."""
+    (the Monte Carlo mismatch hook).  Every solve shares one system.
+    Raises SimulationError when the output does not cross 0 V in that
+    window (amp broken or railed)."""
+    circuit = _open_loop_testbench(amp)
+    system = MnaSystem(circuit, amp.process, vth_shifts=vth_shifts)
 
     def output_at(vin: float) -> float:
-        circuit = _open_loop_testbench(amp, vin)
-        op = operating_point(circuit, amp.process, vth_shifts=vth_shifts)
+        op = operating_point(system, amp.process, source_values={"vin": vin})
         return op.voltage("out")
 
     lo, hi = centre - 0.3, centre + 0.3
@@ -117,11 +123,10 @@ def offset_nulled_bias(
             hi = mid
         else:
             lo = mid
-    circuit = _open_loop_testbench(amp, mid)
     # Thread the amp's design trace through, so a solve that needed the
     # retry ladder leaves its escalation history next to the plan events.
     op = operating_point(
-        circuit, amp.process, vth_shifts=vth_shifts, trace=amp.trace
+        system, amp.process, trace=amp.trace, source_values={"vin": mid}
     )
     return BiasPoint(mid, circuit, op)
 
@@ -156,11 +161,11 @@ def _frequency_response(
     return FrequencyResponse(freqs, ac.voltage("out"))
 
 
-def _buffer_testbench(amp: DesignedOpAmp, vin: float, name: str = "buf_tb") -> Circuit:
-    """Unity-gain buffer: inn tied to out."""
+def _buffer_testbench(amp: DesignedOpAmp, name: str = "buf_tb") -> Circuit:
+    """Unity-gain buffer: inn tied to out, driven by source ``vin``."""
     builder = CircuitBuilder(name, amp.process)
     builder.supplies()
-    builder.vsource("in", "inp", "0", dc=vin)
+    builder.vsource("in", "inp", "0", dc=0.0)
     builder.capacitor("load", "out", "0", amp.spec.load_capacitance)
     builder.resistor("leak", "out", "0", 1e12)
     amp.emit(builder, "inp", "out", "out")
@@ -169,25 +174,17 @@ def _buffer_testbench(amp: DesignedOpAmp, vin: float, name: str = "buf_tb") -> C
 
 def _measure_swing(amp: DesignedOpAmp, tracking_error: float = 0.25) -> float:
     """Sweep the unity-gain buffer and report the symmetric range over
-    which it tracks within ``tracking_error`` volts."""
+    which it tracks within ``tracking_error`` volts (a failed point does
+    not track)."""
     half = amp.process.supply_span / 2.0
-    values = np.linspace(-half, half, 41)
-    reach_pos = 0.0
-    reach_neg = 0.0
-    guess: Dict[str, float] = {}
-    for vin in values:
-        circuit = _buffer_testbench(amp, float(vin))
-        try:
-            op = operating_point(circuit, amp.process, initial_guess=guess)
-        except ConvergenceError:
-            continue
-        guess = dict(op.voltages)
-        if abs(op.voltage("out") - vin) <= tracking_error:
-            if vin >= 0:
-                reach_pos = max(reach_pos, float(vin))
-            else:
-                reach_neg = min(reach_neg, float(vin))
-    return min(reach_pos, -reach_neg)
+    sweep = dc_sweep(
+        _buffer_testbench(amp), amp.process, "vin", np.linspace(-half, half, 41)
+    )
+    vin = sweep.values
+    tracks = np.abs(sweep.voltages("out") - vin) <= tracking_error
+    reach_pos = np.max(vin[tracks & (vin >= 0)], initial=0.0)
+    reach_neg = np.min(vin[tracks & (vin < 0)], initial=0.0)
+    return float(min(reach_pos, -reach_neg))
 
 
 def _measure_slew(amp: DesignedOpAmp, swing: float):
@@ -198,7 +195,7 @@ def _measure_slew(amp: DesignedOpAmp, swing: float):
     duration = 4.0 * (2.0 * step) / expected
     t_step = duration / 600.0
     result = transient_analysis(
-        _buffer_testbench(amp, -step, "slew_tb"),
+        _buffer_testbench(amp, "slew_tb"),
         amp.process,
         t_stop=duration,
         t_step=t_step,

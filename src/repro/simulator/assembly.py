@@ -177,7 +177,8 @@ class StampPlan:
     """Per-system compiled stamp pattern (see module docstring).
 
     Index arrays are built once in ``__init__`` by walking the elements
-    in stamp order; numeric assemblies then only touch NumPy.  The AC
+    in stamp order; numeric assemblies then only touch NumPy (and read
+    the system's current source values).  The AC
     layout is built lazily on first AC assembly (DC solves never need
     it).
     """
@@ -194,9 +195,6 @@ class StampPlan:
         res_a: List[int] = []
         res_b: List[int] = []
         res_g: List[float] = []
-        isrc_p: List[int] = []
-        isrc_n: List[int] = []
-        isrc_dc: List[float] = []
         mos_bind: List[Tuple[str, str, "MosfetModel"]] = []
         mos_d: List[int] = []
         mos_g: List[int] = []
@@ -226,9 +224,6 @@ class StampPlan:
             elif isinstance(element, CurrentSource):
                 p = index_of(element.positive)
                 n = index_of(element.negative)
-                isrc_p.append(p)
-                isrc_n.append(n)
-                isrc_dc.append(element.dc)
                 res.add(_FG_ISRC, p, p)
                 res.add(_FG_ISRC, n, n)
             elif isinstance(element, Mosfet):
@@ -262,7 +257,6 @@ class StampPlan:
         vs_p: List[int] = []
         vs_n: List[int] = []
         vs_row: List[int] = []
-        vs_dc: List[float] = []
         for position, source in enumerate(system.vsources):
             row = system.branch_index(position)
             p = index_of(source.positive)
@@ -270,7 +264,6 @@ class StampPlan:
             vs_p.append(p)
             vs_n.append(n)
             vs_row.append(row)
-            vs_dc.append(source.dc)
             res.add(_FG_VS, p, p)
             res.add(_FG_VS, n, n)
             jac.add(_JG_VS, p, row)
@@ -284,8 +277,6 @@ class StampPlan:
         self.res_g = np.asarray(res_g, dtype=float)
         g = self.res_g
         self.res_j_static = np.column_stack((g, -g, -g, g)).ravel()
-        # --- current sources ------------------------------------------
-        self.isrc_dc = np.asarray(isrc_dc, dtype=float)
         # --- MOSFETs ---------------------------------------------------
         self.mos_bind = mos_bind
         self.mos_vd = _NodeGather(mos_d)
@@ -296,7 +287,6 @@ class StampPlan:
         self.vs_vp = _NodeGather(vs_p)
         self.vs_vn = _NodeGather(vs_n)
         self.vs_rows = np.asarray(vs_row, dtype=np.intp)
-        self.vs_dc = np.asarray(vs_dc, dtype=float)
         self.vs_j_static = np.tile(
             np.array([1.0, -1.0, 1.0, -1.0]), len(vs_row)
         )
@@ -382,7 +372,7 @@ class StampPlan:
         f_vals[self.fp_gmin] = gmin * x[: self.n_nodes]
         gv = self.res_g * (self.res_va(x) - self.res_vb(x))
         f_vals[self.fp_res] = np.column_stack((gv, -gv)).ravel()
-        inj = self.isrc_dc * source_scale
+        inj = self.system.isource_values * source_scale
         f_vals[self.fp_isrc] = np.column_stack((inj, -inj)).ravel()
         f_vals[self.fp_mos] = np.column_stack((ids, -ids)).ravel()
         i_branch = x[self.vs_rows]
@@ -407,7 +397,9 @@ class StampPlan:
         if self.vs_rows.size:
             # Branch equations are assigned, not accumulated.
             residual[self.vs_rows] = (
-                self.vs_vp(x) - self.vs_vn(x) - self.vs_dc * source_scale
+                self.vs_vp(x)
+                - self.vs_vn(x)
+                - self.system.vsource_values * source_scale
             )
         return residual
 

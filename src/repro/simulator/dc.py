@@ -57,7 +57,7 @@ import numpy as np
 from ..cache import circuit_key, content_key, current_cache, process_key
 from ..circuit.netlist import Circuit
 from ..devices.mosfet import MosfetOperatingPoint, Region
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, SimulationError
 from ..kb.trace import DesignTrace
 from ..obs.metrics import LATENCY_BUCKETS_MS
 from ..obs.spans import count as metric_count
@@ -426,19 +426,27 @@ def _op_cache_key(
     initial_guess: Optional[Dict[str, float]],
     max_iterations: int,
     vth_shifts: Optional[Dict[str, float]],
+    source_values: Optional[Mapping[str, float]] = None,
 ) -> str:
     """Content address of one DC solve: netlist + process + solver
     inputs.  Solver *strategy* (the ladder) is not part of the key: a
     converged operating point is a property of the circuit, not of the
     homotopy that found it."""
-    return content_key(
+    parts: List[Any] = [
         "operating_point",
         circuit_key(circuit),
         process_key(process),
         dict(initial_guess or {}),
         max_iterations,
         dict(vth_shifts or {}),
-    )
+    ]
+    if source_values:  # only when given: netlist-value solves keep old keys
+        parts.append(_normalized(source_values))
+    return content_key(*parts)
+
+
+def _normalized(source_values: Optional[Mapping[str, float]]) -> Dict[str, float]:
+    return {name.lower(): float(v) for name, v in (source_values or {}).items()}
 
 
 def _op_to_payload(result: OperatingPointResult) -> Dict[str, object]:
@@ -472,13 +480,13 @@ def _op_to_payload(result: OperatingPointResult) -> Dict[str, object]:
 
 
 def _op_from_payload(
-    payload: Dict[str, object], circuit: Circuit
+    payload: Dict[str, object],
+    circuit: Circuit,
+    source_values: Optional[Mapping[str, float]],
 ) -> OperatingPointResult:
     """Rebuild a fresh :class:`OperatingPointResult` from cached JSON
-    (fresh dicts every time: cached state is never aliased).  The
-    result's voltage-source backrefs (``total_power`` needs them) are
-    re-bound to the *caller's* circuit, which hashes identically to the
-    one that produced the entry."""
+    (fresh dicts every time: cached state is never aliased).  Its source
+    voltages are the solve's inputs, part of the key that found it."""
     device_ops = {
         str(name): MosfetOperatingPoint(
             region=Region(fields.pop("region")),
@@ -490,7 +498,8 @@ def _op_from_payload(
     }
     from ..circuit.elements import VoltageSource
 
-    result = OperatingPointResult(
+    driven = _normalized(source_values)
+    return OperatingPointResult(
         voltages={str(k): float(v) for k, v in dict(payload["voltages"]).items()},  # type: ignore[arg-type]
         source_currents={
             str(k): float(v)
@@ -498,13 +507,12 @@ def _op_from_payload(
         },
         device_ops=device_ops,
         iterations=int(payload["iterations"]),  # type: ignore[arg-type]
+        source_voltages={
+            element.name.lower(): driven.get(element.name.lower(), element.dc)
+            for element in circuit.elements
+            if isinstance(element, VoltageSource)
+        },
     )
-    result._sources_by_name = {
-        element.name.lower(): element
-        for element in circuit.elements
-        if isinstance(element, VoltageSource)
-    }
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +542,7 @@ def _count_solve(attempts: Iterable[Tuple[str, int]]) -> None:
 
 
 def operating_point(
-    circuit: Circuit,
+    circuit: Union[Circuit, MnaSystem],
     process: ProcessParameters,
     initial_guess: Optional[Dict[str, float]] = None,
     max_iterations: int = 150,
@@ -545,11 +553,14 @@ def operating_point(
     ladder_factory: Optional[
         Callable[[MnaSystem, np.ndarray, int, Optional[Budget], str], RetryLadder]
     ] = None,
+    source_values: Optional[Mapping[str, float]] = None,
 ) -> OperatingPointResult:
     """Solve the DC operating point of ``circuit``.
 
     Args:
-        circuit: the netlist (validated by the caller or here).
+        circuit: the netlist (validated here), or an :class:`MnaSystem`
+            built from a validated one, which brings its own
+            ``vth_shifts`` and must have been built with ``process``.
         process: process parameters providing the MOSFET models.
         initial_guess: optional node-voltage seeds (unlisted nodes start
             at 0 V).
@@ -567,6 +578,8 @@ def operating_point(
         ladder_factory: override the escalation ladder (defaults to
             :func:`build_dc_ladder`); called as
             ``factory(system, x0, max_iterations, budget, block)``.
+        source_values: independent-source values of this solve, name ->
+            volts or amps (see :meth:`MnaSystem.set_source_values`).
 
     Returns:
         A converged :class:`OperatingPointResult` whose ``iterations``
@@ -577,13 +590,24 @@ def operating_point(
             cumulative across rungs and the per-rung history is
             available via the ``__cause__`` chain.
         LintError: in strict mode, when the circuit fails ERC.
+        SimulationError: ``source_values`` names a non-source, or a
+            system comes with another process or ``vth_shifts``.
         BudgetExceeded: when the governing budget trips mid-solve.
     """
+    system: Optional[MnaSystem] = None
+    if isinstance(circuit, MnaSystem):
+        system, circuit = circuit, circuit.circuit
+        if vth_shifts is not None or process != system.process:
+            raise SimulationError(
+                f"{circuit.name}: a built system keeps its process and vth_shifts"
+            )
+        vth_shifts = system.vth_shifts
     if strict:
         from ..lint import assert_erc_clean  # local: avoid import cycle
 
         assert_erc_clean(circuit, process=process, context="operating_point")
-    circuit.validate()
+    if system is None:
+        circuit.validate()
 
     # Deterministic memoization: with an ambient ResultCache, identical
     # (netlist, process, guess, mismatch) solves are answered from the
@@ -593,14 +617,17 @@ def operating_point(
     op_key = ""
     if cache is not None:
         op_key = _op_cache_key(
-            circuit, process, initial_guess, max_iterations, vth_shifts
+            circuit, process, initial_guess, max_iterations, vth_shifts,
+            source_values,
         )
         cached = cache.get("op", op_key)
         if cached is not None:
             metric_count("dc.cache_hits")
-            return _op_from_payload(cached, circuit)
+            return _op_from_payload(cached, circuit, source_values)
 
-    system = MnaSystem(circuit, process, vth_shifts=vth_shifts)
+    if system is None:
+        system = MnaSystem(circuit, process, vth_shifts=vth_shifts)
+    system.set_source_values(source_values)
     x0 = _initial_vector(system, initial_guess)
 
     block = f"dc/{circuit.name}"

@@ -6,19 +6,22 @@ netlist.Circuit` to a :class:`~repro.process.parameters.ProcessParameters`
 (creating one :class:`~repro.devices.mosfet.MosfetModel` per transistor)
 and provides the residual/Jacobian assembly used by the DC solver and the
 frequency-grid solve used by the AC, noise and mismatch analyses.
+Source values are solve inputs (:meth:`MnaSystem.set_source_values`),
+so a loop that varies a source builds its system once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..circuit.elements import GROUND, VoltageSource
+from ..circuit.elements import GROUND, CurrentSource, VoltageSource
 from ..circuit.netlist import Circuit
 from ..devices.mosfet import MosfetModel, MosfetOperatingPoint
 from ..errors import SimulationError
+from ..obs.spans import count as metric_count
 from ..process.parameters import ProcessParameters
 from .assembly import SPARSE_THRESHOLD, StampPlan, solve_linear
 
@@ -35,12 +38,14 @@ class OperatingPointResult:
             from the positive terminal through the source).
         device_ops: MOSFET name -> :class:`MosfetOperatingPoint`.
         iterations: NR iterations used (total across homotopy steps).
+        source_voltages: voltage-source name -> its value in this solve.
     """
 
     voltages: Dict[str, float]
     source_currents: Dict[str, float]
     device_ops: Dict[str, MosfetOperatingPoint]
     iterations: int = 0
+    source_voltages: Dict[str, float] = field(default_factory=dict, repr=False)
 
     def voltage(self, node: str) -> float:
         if node == GROUND:
@@ -70,12 +75,8 @@ class OperatingPointResult:
             # P = V * I with I flowing out of the + terminal through the
             # circuit; our branch current convention makes delivered power
             # -V*I_branch.
-            source = self._sources_by_name[name]
-            power += -source.dc * current
+            power += -self.source_voltages[name] * current
         return power
-
-    # populated by MnaSystem when constructing the result
-    _sources_by_name: Dict[str, VoltageSource] = field(default_factory=dict, repr=False)
 
 
 class MnaSystem:
@@ -97,13 +98,19 @@ class MnaSystem:
     ):
         from dataclasses import replace as dc_replace
 
+        metric_count("dc.system_builds")
         self.circuit = circuit
         self.process = process
+        self.vth_shifts = dict(vth_shifts or {})
         self.nodes: List[str] = circuit.internal_nodes()
         self.node_index: Dict[str, int] = {n: i for i, n in enumerate(self.nodes)}
         self.vsources: List[VoltageSource] = [
             e for e in circuit.elements if isinstance(e, VoltageSource)
         ]
+        self.isources: List[CurrentSource] = [
+            e for e in circuit.elements if isinstance(e, CurrentSource)
+        ]
+        self.set_source_values()
         self.n_nodes = len(self.nodes)
         self.size = self.n_nodes + len(self.vsources)
         shifts = {k.lower(): v for k, v in (vth_shifts or {}).items()}
@@ -136,6 +143,19 @@ class MnaSystem:
     def branch_index(self, source_position: int) -> int:
         return self.n_nodes + source_position
 
+    def set_source_values(self, values: Optional[Mapping[str, float]] = None) -> None:
+        """Drive the independent sources for the next solves: ``values``
+        maps source names to volts or amps; every source not named holds
+        its netlist ``dc``.  Raises SimulationError for a name that is
+        not an independent source of this circuit."""
+        value = {s.name.lower(): s.dc for s in self.vsources + self.isources}
+        for name, v in (values or {}).items():
+            if name.lower() not in value:
+                raise SimulationError(f"no independent source named {name!r}")
+            value[name.lower()] = float(v)
+        self.vsource_values = np.array([value[s.name.lower()] for s in self.vsources])
+        self.isource_values = np.array([value[s.name.lower()] for s in self.isources])
+
     # ------------------------------------------------------------------
     # Nonlinear DC assembly
     # ------------------------------------------------------------------
@@ -148,37 +168,26 @@ class MnaSystem:
             self._stamp_plan = StampPlan(self)
         return self._stamp_plan
 
-    def assemble_dc(
-        self,
-        x: np.ndarray,
-        gmin: float = 1e-12,
-        source_scale: float = 1.0,
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
-        """Residual F(x), dense Jacobian J(x) and device ops.
-
-        The residual convention is KCL: F[node] = sum of currents
-        *leaving* the node through elements minus injected source
-        currents; voltage source rows hold ``V(p) - V(n) - Vdc``.
-
-        Args:
-            x: current unknown vector.
-            gmin: conductance from every node to ground (homotopy aid).
-            source_scale: multiplies all independent sources (source
-                stepping).
-        """
-        return self.stamp_plan.assemble_dc_dense(x, gmin, source_scale)
-
     def assemble_dc_system(
         self,
         x: np.ndarray,
         gmin: float = 1e-12,
         source_scale: float = 1.0,
     ):
-        """Residual and Jacobian *operator* for the linear solve.
+        """Residual F(x), Jacobian *operator* J(x) and device ops.
 
-        As :meth:`assemble_dc`, except that ``J`` is a ``scipy.sparse``
-        CSC matrix when :attr:`use_sparse`; pass it to
-        :func:`repro.simulator.assembly.solve_linear`.
+        The residual convention is KCL: F[node] = sum of currents
+        *leaving* the node through elements minus injected source
+        currents; voltage source rows hold ``V(p) - V(n)`` minus the
+        source's value, as last set by :meth:`set_source_values`.
+        ``J`` is a ``scipy.sparse`` CSC matrix when :attr:`use_sparse`,
+        else dense; pass it to :func:`repro.simulator.assembly.solve_linear`.
+
+        Args:
+            x: current unknown vector.
+            gmin: conductance from every node to ground (homotopy aid).
+            source_scale: multiplies all independent sources (source
+                stepping).
         """
         if self.use_sparse:
             return self.stamp_plan.assemble_dc_sparse(x, gmin, source_scale)
@@ -256,16 +265,16 @@ class MnaSystem:
             source.name.lower(): float(x[self.branch_index(pos)])
             for pos, source in enumerate(self.vsources)
         }
-        result = OperatingPointResult(
+        return OperatingPointResult(
             voltages=voltages,
             source_currents=currents,
             device_ops=dict(device_ops),
             iterations=iterations,
+            source_voltages={
+                source.name.lower(): float(value)
+                for source, value in zip(self.vsources, self.vsource_values)
+            },
         )
-        result._sources_by_name = {
-            source.name.lower(): source for source in self.vsources
-        }
-        return result
 
 
 def _ac_failure(frequency: float, exc: Exception) -> SimulationError:

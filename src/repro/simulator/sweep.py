@@ -1,18 +1,20 @@
-"""DC transfer sweeps (the machinery behind output-swing measurements)."""
+"""DC transfer sweeps (the machinery behind output-swing measurements):
+one built system re-solved at each source value; a failed point is None.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..circuit.elements import VoltageSource
+from ..circuit.elements import CurrentSource, VoltageSource
 from ..circuit.netlist import Circuit
 from ..errors import ConvergenceError, SimulationError
 from ..process.parameters import ProcessParameters
 from .dc import operating_point
-from .mna import OperatingPointResult
+from .mna import MnaSystem, OperatingPointResult
 
 __all__ = ["SweepResult", "dc_sweep"]
 
@@ -22,17 +24,21 @@ class SweepResult:
     """Result of a DC source sweep.
 
     Attributes:
-        values: swept source values (volts).
-        points: one converged operating point per value (None where the
-            solve failed, which callers may treat as out-of-range).
+        source: the swept source's name.
+        values: swept source values (volts, or amps).
+        points: one operating point per value, ``None`` where the solve
+            did not converge (callers may treat it as out of range).
     """
 
     source: str
     values: np.ndarray
-    points: List[OperatingPointResult]
+    points: List[Optional[OperatingPointResult]]
 
     def voltages(self, node: str) -> np.ndarray:
-        return np.array([p.voltage(node) for p in self.points])
+        """``node``'s voltage per point, NaN where the point failed."""
+        return np.array(
+            [np.nan if p is None else p.voltage(node) for p in self.points]
+        )
 
     def __len__(self) -> int:
         return len(self.points)
@@ -44,38 +50,33 @@ def dc_sweep(
     source_name: str,
     values: Sequence[float],
 ) -> SweepResult:
-    """Sweep a voltage source's DC value, re-solving the OP at each point.
+    """Sweep an independent source's value, re-solving the OP at each point.
 
-    Each point warm-starts from the previous solution for speed and
-    convergence robustness (continuation).
+    The circuit is validated and built once; each point warm-starts from
+    the last converged one (continuation).  A point whose solve fails is
+    recorded as ``None``.
 
     Raises:
-        SimulationError: if ``source_name`` is not a voltage source.
-        ConvergenceError: if the very first point fails (later failures
-            abort the sweep with the same error, since a swing measurement
-            with holes is meaningless).
+        SimulationError: if ``source_name`` is not an independent source
+            (NetlistError if no element has that name or the circuit is
+            invalid).
     """
-    element = circuit[source_name]
-    if not isinstance(element, VoltageSource):
-        raise SimulationError(f"{source_name!r} is not a voltage source")
+    if not isinstance(circuit[source_name], (VoltageSource, CurrentSource)):
+        raise SimulationError(f"{source_name!r} is not an independent source")
+    circuit.validate()
+    system = MnaSystem(circuit, process)
 
-    points: List[OperatingPointResult] = []
+    points: List[Optional[OperatingPointResult]] = []
     guess: Dict[str, float] = {}
     swept = np.asarray(list(values), dtype=float)
     for value in swept:
-        modified = Circuit(circuit.name)
-        for existing in circuit.elements:
-            if existing.name.lower() == element.name.lower():
-                modified.add(replace(existing, dc=float(value)))
-            else:
-                modified.add(existing)
         try:
-            op = operating_point(modified, process, initial_guess=guess)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"sweep of {source_name} failed at {value:g} V: {exc}",
-                exc.iterations,
-            ) from exc
+            op = operating_point(
+                system, process, initial_guess=guess, source_values={source_name: value}
+            )
+        except ConvergenceError:
+            op = None
+        else:
+            guess = dict(op.voltages)
         points.append(op)
-        guess = dict(op.voltages)
     return SweepResult(source=source_name, values=swept, points=points)

@@ -6,12 +6,17 @@ paper's SPICE transient runs.
 
 Capacitors (explicit elements and the MOSFET intrinsic/junction
 capacitances evaluated quasi-statically at each accepted timepoint) are
-replaced by their trapezoidal companion models; each timestep is solved
-by its own damped NR (``_solve_timestep``), which has no retry ladder and
-a convergence test 100x looser (``100 * VTOL``) than the DC solver's.
+replaced by their trapezoidal companion models.
 
-Voltage sources may be driven by arbitrary waveforms via ``stimuli``:
-a mapping from source name to ``f(t) -> volts``.
+Independent sources may be driven by waveforms via ``stimuli`` (source
+name -> ``f(t)``): the t=0 operating point and every timestep solve one
+:class:`~repro.simulator.mna.MnaSystem` with the stimuli at that time as
+its source values.  Each timestep is solved by its own damped NR
+(``_solve_timestep``), with no retry ladder and a convergence test 100x
+looser (``100 * VTOL``) than the DC solver's: on
+:func:`~repro.simulator.dc.newton_batch` slew moved under 4e-11 relative
+but the transient took 1.5-2x as long, because each of its iterates
+assembles twice (the Jacobian system, then a residual-only check).
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ class _CompanionBank:
         self.v_prev = v_new
 
 
-def _device_cap_branches(system: MnaSystem, op) -> List[Tuple[str, int, int, str]]:
+def _device_cap_branches(system: MnaSystem) -> List[Tuple[str, int, int, str]]:
     """Terminal pairs carrying MOSFET capacitances: (device, a, b, kind)."""
     branches = []
     for element in system.circuit.mosfets:
@@ -164,8 +169,8 @@ def transient_analysis(
         circuit / process: netlist and process.
         t_stop: final time, seconds.
         t_step: fixed integration step, seconds.
-        stimuli: optional waveform per voltage-source name; sources not
-            listed hold their DC value.
+        stimuli: optional waveform per independent-source name; sources
+            not listed hold their DC value.
         max_iterations: NR budget per timestep.
         strict: additionally run the full ERC lint pass and raise
             :class:`~repro.errors.LintError` on any error-severity
@@ -173,6 +178,9 @@ def transient_analysis(
 
     Returns:
         :class:`TransientResult`.
+
+    Raises:
+        SimulationError: bad time range, or a stimulus names no source.
     """
     if strict:
         from ..lint import assert_erc_clean  # local: avoid import cycle
@@ -180,21 +188,14 @@ def transient_analysis(
         assert_erc_clean(circuit, process=process, context="transient_analysis")
     if t_stop <= 0 or t_step <= 0 or t_step > t_stop:
         raise SimulationError(f"bad transient range t_stop={t_stop}, t_step={t_step}")
-    stimuli = {k.lower(): v for k, v in (stimuli or {}).items()}
+    stimuli = dict(stimuli or {})
 
+    circuit.validate()
+    system = MnaSystem(circuit, process)
     # Initial condition: DC solve with t=0 stimulus values.
-    initial = Circuit(circuit.name)
-    from dataclasses import replace as dc_replace
-
-    for element in circuit.elements:
-        key = element.name.lower()
-        if key in stimuli:
-            initial.add(dc_replace(element, dc=float(stimuli[key](0.0))))
-        else:
-            initial.add(element)
-    op0 = operating_point(initial, process)
-
-    system = MnaSystem(initial, process)
+    op0 = operating_point(
+        system, process, source_values={k: f(0.0) for k, f in stimuli.items()}
+    )
     x = np.zeros(system.size)
     for node, index in system.node_index.items():
         x[index] = op0.voltages[node]
@@ -203,7 +204,7 @@ def transient_analysis(
 
     with obs_span(f"transient:{circuit.name}", category="sim") as tran_span:
         times, history = _integrate(
-            system, initial, x, op0, t_stop, t_step, stimuli, max_iterations
+            system, x, op0, t_stop, t_step, stimuli, max_iterations
         )
         tran_span.set("timesteps", len(times) - 1)
         metric_count("transient.analyses")
@@ -218,7 +219,6 @@ def transient_analysis(
 
 def _integrate(
     system: MnaSystem,
-    initial: Circuit,
     x: np.ndarray,
     op0,
     t_stop: float,
@@ -229,16 +229,17 @@ def _integrate(
     """Fixed-step integration from the initial state ``x``: one
     :class:`_CompanionBank` holds every capacitor branch, companion
     stamps/updates are whole-bank array operations, and large systems
-    solve sparsely.  Returns (times, per-step unknown vectors)."""
+    solve sparsely.  Each step drives the sources at its end time.
+    Returns (times, per-step unknown vectors)."""
     node_a: List[int] = []
     node_b: List[int] = []
     caps: List[float] = []
-    for cap in initial.capacitors:
+    for cap in system.circuit.capacitors:
         node_a.append(system.index_of(cap.node_a))
         node_b.append(system.index_of(cap.node_b))
         caps.append(cap.capacitance)
     explicit_count = len(caps)
-    device_branches = _device_cap_branches(system, op0.device_ops)
+    device_branches = _device_cap_branches(system)
     for name, a, b, kind in device_branches:
         node_a.append(a)
         node_b.append(b)
@@ -253,8 +254,9 @@ def _integrate(
     while t < t_stop - 1e-15:
         h = min(t_step, t_stop - t)
         t_next = t + h
+        system.set_source_values({k: f(t_next) for k, f in stimuli.items()})
         x_next, device_ops = _solve_timestep(
-            system, x, t_next, h, stimuli, bank, max_iterations
+            system, x, t_next, h, bank, max_iterations
         )
         bank.accept(x_next, h)
         # Refresh device capacitance values quasi-statically.
@@ -267,63 +269,21 @@ def _integrate(
     return times, history
 
 
-def _stimulus_values(system: MnaSystem, stimuli, t: float):
-    """Waveform values at ``t`` for driven voltage/current sources."""
-    source_values = {}
-    for source in system.vsources:
-        key = source.name.lower()
-        if key in stimuli:
-            source_values[key] = float(stimuli[key](t))
-    from ..circuit.elements import CurrentSource
-
-    isource_values = {}
-    for element in system.circuit.elements:
-        if isinstance(element, CurrentSource):
-            key = element.name.lower()
-            if key in stimuli:
-                isource_values[key] = (element, float(stimuli[key](t)))
-    return source_values, isource_values
-
-
 def _solve_timestep(
     system: MnaSystem,
     x_prev: np.ndarray,
     t: float,
     h: float,
-    stimuli,
     bank: _CompanionBank,
     max_iterations: int,
 ):
-    """Damped NR for one trapezoidal timestep over the companion bank."""
+    """Damped NR for one trapezoidal timestep over the companion bank, at
+    the source values set on ``system``."""
     x = x_prev.copy()
     n_nodes = system.n_nodes
-    source_values, isource_values = _stimulus_values(system, stimuli, t)
-
+    plan = system.stamp_plan
     for iteration in range(1, max_iterations + 1):
-        residual, jacobian, device_ops = system.assemble_dc(x, 1e-12, 1.0)
-
-        # Override voltage-source branch equations with waveform values.
-        for pos, source in enumerate(system.vsources):
-            key = source.name.lower()
-            if key in source_values:
-                row = system.branch_index(pos)
-                p = system.index_of(source.positive)
-                n = system.index_of(source.negative)
-                vp = 0.0 if p < 0 else x[p]
-                vn = 0.0 if n < 0 else x[n]
-                residual[row] = vp - vn - source_values[key]
-
-        # Adjust current-source injections for waveform values (the
-        # assemble already stamped the DC value; add the difference).
-        for element, value in isource_values.values():
-            extra = value - element.dc
-            p = system.index_of(element.positive)
-            n = system.index_of(element.negative)
-            if p >= 0:
-                residual[p] += extra
-            if n >= 0:
-                residual[n] -= extra
-
+        residual, jacobian, device_ops = plan.assemble_dc_dense(x, 1e-12, 1.0)
         bank.stamp(residual, jacobian, x, h)
 
         operator = sp.csc_matrix(jacobian) if system.use_sparse else jacobian

@@ -38,7 +38,6 @@ from repro.circuit.elements import (
     Resistor,
     VoltageSource,
 )
-from repro.circuit.netlist import Circuit
 from repro.devices.mosfet import MosfetOperatingPoint
 from repro.errors import ConvergenceError, SimulationError
 from repro.simulator import mna as mna_module
@@ -69,8 +68,10 @@ def assemble_dc_reference(
 
     The residual convention is KCL: F[node] = sum of currents *leaving*
     the node through elements minus injected source currents; voltage
-    source rows hold ``V(p) - V(n) - Vdc``.  ``gmin`` shunts every node
-    to ground and ``source_scale`` multiplies every independent source.
+    source rows hold ``V(p) - V(n)`` minus the source's value.  Sources
+    take the system's per-solve values (``vsource_values`` /
+    ``isource_values``), ``gmin`` shunts every node to ground and
+    ``source_scale`` multiplies every independent source.
     """
     size = system.size
     residual = np.zeros(size)
@@ -94,6 +95,7 @@ def assemble_dc_reference(
         residual[i] += gmin * x[i]
         jacobian[i, i] += gmin
 
+    isource_value = dict(zip(map(id, system.isources), system.isource_values))
     for element in system.circuit.elements:
         if isinstance(element, Resistor):
             a = index_of(element.node_a)
@@ -111,7 +113,7 @@ def assemble_dc_reference(
         elif isinstance(element, CurrentSource):
             p = index_of(element.positive)
             n = index_of(element.negative)
-            i_dc = element.dc * source_scale
+            i_dc = isource_value[id(element)] * source_scale
             # The current leaves the positive node through the source.
             add_f(p, i_dc)
             add_f(n, -i_dc)
@@ -153,7 +155,8 @@ def assemble_dc_reference(
         add_f(n, -i_branch)
         add_j(p, row, 1.0)
         add_j(n, row, -1.0)
-        residual[row] = volt(p) - volt(n) - source.dc * source_scale
+        value = system.vsource_values[position]
+        residual[row] = volt(p) - volt(n) - value * source_scale
         add_j(row, p, 1.0)
         add_j(row, n, -1.0)
 
@@ -301,7 +304,6 @@ class _CapState:
 
 def integrate_reference(
     system: MnaSystem,
-    initial: Circuit,
     x: np.ndarray,
     op0,
     t_stop: float,
@@ -312,14 +314,14 @@ def integrate_reference(
     """The transient integration loop with one :class:`_CapState` per
     capacitor branch (same contract as the production ``_integrate``)."""
     explicit_states: List[_CapState] = []
-    for cap in initial.capacitors:
+    for cap in system.circuit.capacitors:
         state = _CapState(
             system.index_of(cap.node_a), system.index_of(cap.node_b), cap.capacitance
         )
         state.v_prev = state.voltage(x)
         explicit_states.append(state)
 
-    device_branches = transient_module._device_cap_branches(system, op0.device_ops)
+    device_branches = transient_module._device_cap_branches(system)
     device_states: List[_CapState] = []
     for name, a, b, kind in device_branches:
         state = _CapState(a, b, getattr(op0.device_ops[name], kind))
@@ -332,9 +334,9 @@ def integrate_reference(
     while t < t_stop - 1e-15:
         h = min(t_step, t_stop - t)
         t_next = t + h
+        system.set_source_values({k: f(t_next) for k, f in stimuli.items()})
         x_next, device_ops = _solve_timestep_reference(
-            system, x, t_next, h, stimuli, explicit_states + device_states,
-            max_iterations,
+            system, x, t_next, h, explicit_states + device_states, max_iterations
         )
         for state in explicit_states + device_states:
             v_new = state.voltage(x_next)
@@ -356,35 +358,15 @@ def _solve_timestep_reference(
     x_prev: np.ndarray,
     t: float,
     h: float,
-    stimuli,
     states: List[_CapState],
     max_iterations: int,
 ):
-    """Damped NR for one trapezoidal timestep, stamp by stamp."""
+    """Damped NR for one trapezoidal timestep, stamp by stamp, at the
+    source values set on ``system``."""
     x = x_prev.copy()
     n_nodes = system.n_nodes
-    source_values, isource_values = transient_module._stimulus_values(
-        system, stimuli, t
-    )
     for iteration in range(1, max_iterations + 1):
         residual, jacobian, device_ops = assemble_dc_reference(system, x, 1e-12, 1.0)
-        for pos, source in enumerate(system.vsources):
-            key = source.name.lower()
-            if key in source_values:
-                row = system.branch_index(pos)
-                p = system.index_of(source.positive)
-                n = system.index_of(source.negative)
-                vp = 0.0 if p < 0 else x[p]
-                vn = 0.0 if n < 0 else x[n]
-                residual[row] = vp - vn - source_values[key]
-        for element, value in isource_values.values():
-            extra = value - element.dc
-            p = system.index_of(element.positive)
-            n = system.index_of(element.negative)
-            if p >= 0:
-                residual[p] += extra
-            if n >= 0:
-                residual[n] -= extra
         for state in states:
             if state.capacitance <= 0:
                 continue
@@ -425,7 +407,6 @@ def _solve_timestep_reference(
 def _reference_patches():
     """(owner, attribute, replacement) for every production numeric path."""
     return (
-        (MnaSystem, "assemble_dc", assemble_dc_reference),
         (MnaSystem, "assemble_dc_system", assemble_dc_reference),
         (MnaSystem, "assemble_dc_residual", _dc_residual_reference),
         (MnaSystem, "solve_ac", solve_ac_reference),

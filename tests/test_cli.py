@@ -493,6 +493,17 @@ class TestObservabilityCli:
         assert "Run report:" in out
         assert "plan.steps" in out
 
+    def test_stats_cache_reports_the_verifications(self, capsys):
+        import re
+
+        assert main(["stats", "--testcase", "A", "--cache"]) == 0
+        out = capsys.readouterr().out
+        report, _, cache_table = out.partition("\nCache")
+        assert "verify:offset" in report
+        hits = re.search(r"^\s*dc\.cache_hits\s+(\d+)", report, re.MULTILINE)
+        assert hits and int(hits.group(1)) > 0
+        assert "op" in cache_table
+
     def test_stats_without_input_errors(self, capsys):
         assert main(["stats"]) == 1
         assert "nothing to report on" in capsys.readouterr().err

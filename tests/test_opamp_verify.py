@@ -10,15 +10,20 @@ import dataclasses
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec, synthesize, verify_opamp
+from repro.cache import ResultCache, cache_scope, canonical_json
+from repro.circuit.netlist import Circuit
 from repro.errors import SimulationError
 from repro.obs import Tracer
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import SPEC_A, SPEC_B, SPEC_C
 from repro.opamp.verify import (
+    _open_loop_testbench,
     measure_rejection,
     offset_nulled_bias,
     open_loop_response,
 )
+from repro.simulator import MnaSystem, operating_point
+from repro.simulator.dc import _op_to_payload
 from repro.simulator.analysis import crossover_frequency
 
 
@@ -169,6 +174,57 @@ class TestSharedBiasPoint:
         assert report.offset_v == bias.offset_v
         assert report.get("power") == abs(bias.op.total_power())
         assert abs(bias.op.voltage("out")) < 1e-3
+
+
+class TestOneBuildPerTestbench:
+    """Each testbench is built and validated once; the loops that vary
+    a source (offset search, swing sweep, transient) re-solve it."""
+
+    @pytest.mark.parametrize("case, solves", [("amp_a", 61), ("amp_c", 70)])
+    def test_verify_builds_at_most_four_systems(
+        self, request, monkeypatch, case, solves
+    ):
+        amp = request.getfixturevalue(case)
+        calls = {"systems": 0, "validations": 0}
+        build, validate = MnaSystem.__init__, Circuit.validate
+
+        def counting_build(self, *args, **kwargs):
+            calls["systems"] += 1
+            build(self, *args, **kwargs)
+
+        def counting_validate(self):
+            calls["validations"] += 1
+            validate(self)
+
+        monkeypatch.setattr(MnaSystem, "__init__", counting_build)
+        monkeypatch.setattr(Circuit, "validate", counting_validate)
+        # Open loop (offset search and bias point), AC, swing buffer and
+        # slew buffer; the per-solve rebuilds made 63 / 72.
+        assert _dc_solves(lambda: verify_opamp(amp)) == solves
+        assert calls["systems"] <= 4
+        # Three testbench builds, plus dc_sweep's and the transient's own
+        # check of their circuit; never one per solve.
+        assert calls["validations"] <= 5
+
+    def test_op_cache_key_covers_source_values(self, amp_a):
+        system = MnaSystem(_open_loop_testbench(amp_a), CMOS_5UM)
+        cache = ResultCache()
+
+        def solve(vin):
+            return operating_point(system, CMOS_5UM, source_values={"vin": vin})
+
+        with cache_scope(cache):
+            first = solve(0.01)
+            second = solve(0.02)
+            assert (cache.stats()["op"].hits, cache.stats()["op"].misses) == (0, 2)
+            assert first.voltage("out") != second.voltage("out")
+            again = solve(0.01)
+            assert cache.stats()["op"].hits == 1
+        assert canonical_json(_op_to_payload(again)) == canonical_json(
+            _op_to_payload(first)
+        )
+        assert again.total_power() == first.total_power()
+        assert again.source_voltages["vin"] == 0.01
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,9 @@ import pytest
 
 from repro.circuit import GROUND, Circuit
 from repro.errors import ConvergenceError, SimulationError
-from repro.process import CMOS_5UM
-from repro.simulator import operating_point
+from repro.process import CMOS_3UM, CMOS_5UM
+from repro.simulator import MnaSystem, operating_point
+from repro.simulator.dc import _op_cache_key
 
 
 class TestLinearCircuits:
@@ -206,3 +207,56 @@ class TestConvergenceMachinery:
         # Current through rbias equals drain current of each device.
         i_r = (10.0 - op.voltage("n4")) / 100e3
         assert op.device("m1").ids == pytest.approx(i_r, rel=1e-3)
+
+
+def _divider():
+    c = Circuit("divider")
+    c.add_vsource("vin", "a", GROUND, dc=1.0)
+    c.add_resistor("r1", "a", "b", 1e3)
+    c.add_resistor("r2", "b", GROUND, 1e3)
+    return c
+
+
+class TestSourceValues:
+    """Independent-source values are an input of the solve."""
+
+    def test_built_system_solves_at_given_values(self):
+        system = MnaSystem(_divider(), CMOS_5UM)
+        op = operating_point(system, CMOS_5UM, source_values={"VIN": 4.0})
+        assert op.voltage("b") == pytest.approx(2.0, rel=1e-9)
+        # A solve that names no values is back at the netlist value.
+        assert operating_point(system, CMOS_5UM).voltage("b") == pytest.approx(0.5)
+
+    def test_total_power_uses_the_driven_value(self):
+        op = operating_point(_divider(), CMOS_5UM, source_values={"vin": 2.0})
+        assert op.total_power() == pytest.approx(2.0**2 / 2e3, rel=1e-6)
+
+    def test_current_source_value(self):
+        c = Circuit("isrc")
+        c.add_isource("i1", GROUND, "out", dc=1e-3)
+        c.add_resistor("r1", "out", GROUND, 2e3)
+        op = operating_point(c, CMOS_5UM, source_values={"i1": 2e-3})
+        assert op.voltage("out") == pytest.approx(4.0, rel=1e-6)
+
+    def test_unknown_source_rejected(self):
+        with pytest.raises(SimulationError, match="no independent source"):
+            operating_point(_divider(), CMOS_5UM, source_values={"r1": 1.0})
+
+    def test_built_system_keeps_its_own_process_and_shifts(self):
+        system = MnaSystem(_divider(), CMOS_5UM)
+        with pytest.raises(SimulationError):
+            operating_point(system, CMOS_3UM)
+        with pytest.raises(SimulationError):
+            operating_point(system, CMOS_5UM, vth_shifts={"m1": 0.01})
+
+    def test_plain_solve_keeps_its_op_cache_key(self):
+        # The key a solve without source values has always had.
+        assert _op_cache_key(_divider(), CMOS_5UM, None, 150, None) == (
+            "b8d0b66f4eeba7a118df7aa8ffed7bfc2dd4afb0dc5e1ee166cdbfd5392a4cfc"
+        )
+        assert _op_cache_key(_divider(), CMOS_5UM, None, 150, None, {}) == (
+            _op_cache_key(_divider(), CMOS_5UM, None, 150, None)
+        )
+        assert _op_cache_key(
+            _divider(), CMOS_5UM, None, 150, None, {"vin": 1.0}
+        ) != _op_cache_key(_divider(), CMOS_5UM, None, 150, None)

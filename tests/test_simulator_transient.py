@@ -6,10 +6,23 @@ import numpy as np
 import pytest
 
 from repro.circuit import GROUND, Circuit
-from repro.errors import SimulationError
+from repro.errors import ConvergenceError, SimulationError
 from repro.process import CMOS_5UM
-from repro.simulator import dc_sweep, transient_analysis
+from repro.simulator import MnaSystem, dc_sweep, transient_analysis
+from repro.simulator import sweep as sweep_module
 from repro.simulator.transient import step_waveform
+
+
+def _count_system_builds(monkeypatch):
+    builds = []
+    build = MnaSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args[0].name)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(MnaSystem, "__init__", counting)
+    return builds
 
 
 class TestStepWaveform:
@@ -73,6 +86,31 @@ class TestRcTransient:
             transient_analysis(circuit, CMOS_5UM, t_stop=-1.0, t_step=1e-9)
         with pytest.raises(SimulationError):
             transient_analysis(circuit, CMOS_5UM, t_stop=1e-9, t_step=1e-6)
+
+    def test_stimulus_must_name_a_source(self):
+        circuit = Circuit("rc")
+        circuit.add_vsource("vin", "in", GROUND, dc=1.0)
+        circuit.add_resistor("r1", "in", GROUND, 1e3)
+        with pytest.raises(SimulationError, match="no independent source"):
+            transient_analysis(
+                circuit, CMOS_5UM, t_stop=1e-8, t_step=1e-9,
+                stimuli={"r1": step_waveform(0.0, 1.0, t_step=0.0)},
+            )
+
+    def test_one_system_for_the_initial_point_and_every_step(self, monkeypatch):
+        builds = _count_system_builds(monkeypatch)
+        circuit = Circuit("rc")
+        circuit.add_vsource("vin", "in", GROUND, dc=0.0)
+        circuit.add_resistor("r1", "in", "out", 1e3)
+        circuit.add_capacitor("c1", "out", GROUND, 1e-9)
+        result = transient_analysis(
+            circuit, CMOS_5UM, t_stop=1e-7, t_step=1e-9,
+            stimuli={"vin": step_waveform(0.5, 1.0, t_step=5e-8, t_rise=1e-9)},
+        )
+        assert builds == ["rc"]
+        # t=0 sits at the stimulus value, not the netlist's 0 V.
+        assert result.voltage("in")[0] == pytest.approx(0.5, abs=1e-9)
+        assert result.voltage("in")[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMosfetTransient:
@@ -141,3 +179,43 @@ class TestDcSweep:
         sweep = dc_sweep(circuit, CMOS_5UM, "vin", [0.0, 0.5, 1.0])
         assert len(sweep) == 3
         assert sweep.voltages("a")[1] == pytest.approx(0.5, rel=1e-6)
+
+    def test_sweep_builds_one_system(self, monkeypatch):
+        builds = _count_system_builds(monkeypatch)
+        circuit = Circuit("x")
+        circuit.add_vsource("vin", "a", GROUND, dc=1.0)
+        circuit.add_resistor("r1", "a", GROUND, 1e3)
+        dc_sweep(circuit, CMOS_5UM, "vin", np.linspace(0.0, 1.0, 5))
+        assert builds == ["x"]
+
+    def test_failed_point_is_none_and_the_sweep_goes_on(self, monkeypatch):
+        circuit = Circuit("x")
+        circuit.add_vsource("vin", "a", GROUND, dc=1.0)
+        circuit.add_resistor("r1", "a", GROUND, 1e3)
+        solve = sweep_module.operating_point
+        guesses = []
+
+        def failing_at_half(system, process, initial_guess, source_values):
+            guesses.append(dict(initial_guess))
+            if source_values["vin"] == 0.5:
+                raise ConvergenceError("planted", 1)
+            return solve(
+                system, process, initial_guess=initial_guess,
+                source_values=source_values,
+            )
+
+        monkeypatch.setattr(sweep_module, "operating_point", failing_at_half)
+        sweep = dc_sweep(circuit, CMOS_5UM, "vin", [0.0, 0.5, 1.0])
+        assert sweep.points[1] is None
+        v_a = sweep.voltages("a")
+        assert math.isnan(v_a[1])
+        assert v_a[2] == pytest.approx(1.0, rel=1e-6)
+        # The point after the hole warm-starts from the last converged one.
+        assert guesses[2] == guesses[1]
+
+    def test_sweep_a_current_source(self):
+        circuit = Circuit("i")
+        circuit.add_isource("i1", GROUND, "a", dc=0.0)
+        circuit.add_resistor("r1", "a", GROUND, 1e3)
+        sweep = dc_sweep(circuit, CMOS_5UM, "i1", [1e-3, 2e-3])
+        assert sweep.voltages("a") == pytest.approx([1.0, 2.0], rel=1e-6)
