@@ -640,13 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
     # slo ----------------------------------------------------------------
     slo = commands.add_parser(
         "slo",
-        help="evaluate latency/error SLOs or gate benchmark regressions",
-        description="Three modes: evaluate declarative SLO targets "
-        "against a recorded JSONL trace (--trace) or a live /metrics "
-        "endpoint (--metrics-url), or compare two benchmark JSON files "
-        "(--check-bench against --baseline) for wall-time regressions.  "
-        "Exit 0 when everything holds, 4 on any violation or "
-        "regression.",
+        help="evaluate latency/error SLOs",
+        description="Evaluate declarative SLO targets against a "
+        "recorded JSONL trace (--trace) or a live /metrics endpoint "
+        "(--metrics-url).  Exit 0 when every target holds, 4 on any "
+        "violation.",
     )
     slo.add_argument(
         "--targets",
@@ -668,35 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="live metrics endpoint, e.g. http://host:port/metrics "
         "(kind=histogram targets; '?format=json' is appended if no "
         "query is given)",
-    )
-    slo.add_argument(
-        "--check-bench",
-        default=None,
-        metavar="FILE",
-        help="current benchmark JSON (e.g. BENCH_synth.json) to diff "
-        "against --baseline",
-    )
-    slo.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="baseline benchmark JSON for --check-bench",
-    )
-    slo.add_argument(
-        "--max-regress-pct",
-        type=float,
-        default=25.0,
-        metavar="PCT",
-        help="allowed wall-time growth per timing leaf before "
-        "--check-bench fails (default: 25)",
-    )
-    slo.add_argument(
-        "--min-ms",
-        type=float,
-        default=0.5,
-        metavar="MS",
-        help="ignore timing leaves whose current value is below this "
-        "floor (default: 0.5)",
     )
 
     return parser
@@ -1247,35 +1216,14 @@ def _cmd_slo(args) -> int:
     import json as _json
 
     from .obs.slo import (
-        diff_bench,
         evaluate_snapshot,
         evaluate_trace,
         load_targets,
         render_checks,
-        render_deltas,
     )
 
-    if args.check_bench:
-        if not args.baseline:
-            raise ReproError("--check-bench needs --baseline FILE")
-        with open(args.baseline, "r", encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        with open(args.check_bench, "r", encoding="utf-8") as handle:
-            current = _json.load(handle)
-        deltas = diff_bench(
-            baseline,
-            current,
-            max_regress_pct=args.max_regress_pct,
-            min_ms=args.min_ms,
-        )
-        print(render_deltas(deltas, args.max_regress_pct))
-        return 4 if any(d.regressed for d in deltas) else 0
-
     if not args.targets or not (args.trace or args.metrics_url):
-        raise ReproError(
-            "give --targets FILE with --trace/--metrics-url, or "
-            "--check-bench with --baseline"
-        )
+        raise ReproError("give --targets FILE with --trace/--metrics-url")
     try:
         targets = load_targets(args.targets)
     except (OSError, ValueError) as exc:
@@ -1283,7 +1231,7 @@ def _cmd_slo(args) -> int:
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as handle:
             checks = evaluate_trace(handle.read(), targets)
-    elif args.metrics_url:
+    else:
         import urllib.request
 
         url = args.metrics_url
@@ -1295,8 +1243,6 @@ def _cmd_slo(args) -> int:
         # and a bare registry snapshot.
         snapshot = payload.get("metrics", payload)
         checks = evaluate_snapshot(snapshot, targets)
-    else:
-        raise ReproError("give --trace FILE or --metrics-url URL")
     print(render_checks(checks))
     return 4 if any(not c.ok for c in checks) else 0
 

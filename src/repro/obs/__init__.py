@@ -58,10 +58,8 @@ from .metrics import (
 )
 from .report import TRACE_FORMATS, RunReport
 from .slo import (
-    BenchDelta,
     SloCheck,
     SloTarget,
-    diff_bench,
     evaluate_snapshot,
     evaluate_trace,
     histogram_quantile,
@@ -124,12 +122,10 @@ __all__ = [
     # slo
     "SloTarget",
     "SloCheck",
-    "BenchDelta",
     "load_targets",
     "evaluate_trace",
     "evaluate_snapshot",
     "histogram_quantile",
-    "diff_bench",
     # events vocabulary
     "TRACE_KIND_MARKERS",
     "UNKNOWN_MARKER",

@@ -1,11 +1,10 @@
 """SLO evaluation: declarative latency / error-rate targets.
 
-The repo can now *produce* latency data three ways -- JSONL traces
-(span durations), metrics snapshots (histogram buckets, via
-``GET /metrics?format=json`` or a merged batch registry) and
-``BENCH_synth.json`` (benchmark walls).  This module is the consumer:
-it turns "are we fast enough?" from a judgement call into a checked,
-CI-gateable comparison.
+The repo *produces* latency data two ways -- JSONL traces (span
+durations) and metrics snapshots (histogram buckets, via
+``GET /metrics?format=json`` or a merged batch registry).  This module
+is the consumer: it turns "are we fast enough?" from a judgement call
+into a checked, CI-gateable comparison.
 
 * :class:`SloTarget` -- one declarative objective: a span name or
   histogram metric, optional p50/p95/p99 millisecond ceilings, and an
@@ -18,10 +17,6 @@ CI-gateable comparison.
   metrics snapshot's histograms (:func:`histogram_quantile`, the
   ``histogram_quantile()`` PromQL estimator), error rate from a
   numerator/denominator counter pair.
-* :func:`diff_bench` -- the regression mode: compare every ``*_ms``
-  leaf of two ``BENCH_synth.json`` payloads and flag relative growth
-  beyond a threshold (with an absolute floor so microsecond jitter on
-  sub-millisecond walls cannot fail CI).
 
 ``repro slo`` is the CLI front; every function here is pure so the
 evaluation itself is unit-testable without a server.
@@ -31,21 +26,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .export import iter_jsonl, percentile
 
 __all__ = [
     "SloCheck",
     "SloTarget",
-    "BenchDelta",
-    "diff_bench",
     "evaluate_snapshot",
     "evaluate_trace",
     "histogram_quantile",
     "load_targets",
     "render_checks",
-    "render_deltas",
 ]
 
 _PERCENTILE_FIELDS = (("p50_ms", 50.0), ("p95_ms", 95.0), ("p99_ms", 99.0))
@@ -98,17 +90,6 @@ class SloCheck:
     limit: float
     ok: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class BenchDelta:
-    """One ``*_ms`` leaf compared across two bench payloads."""
-
-    path: str
-    baseline_ms: float
-    current_ms: float
-    delta_pct: float
-    regressed: bool
 
 
 # ----------------------------------------------------------------------
@@ -294,64 +275,6 @@ def evaluate_snapshot(
 
 
 # ----------------------------------------------------------------------
-# Bench regression diff
-# ----------------------------------------------------------------------
-def _ms_leaves(node: Any, path: str = "") -> List[Tuple[str, float]]:
-    leaves: List[Tuple[str, float]] = []
-    if isinstance(node, Mapping):
-        for key in sorted(node):
-            child_path = f"{path}.{key}" if path else str(key)
-            value = node[key]
-            if (
-                str(key).endswith("_ms")
-                and isinstance(value, (int, float))
-                and not isinstance(value, bool)
-            ):
-                leaves.append((child_path, float(value)))
-            else:
-                leaves.extend(_ms_leaves(value, child_path))
-    return leaves
-
-
-def diff_bench(
-    baseline: Mapping[str, Any],
-    current: Mapping[str, Any],
-    max_regress_pct: float = 100.0,
-    min_ms: float = 0.5,
-) -> List[BenchDelta]:
-    """Compare every ``*_ms`` leaf of two bench payloads.
-
-    A leaf regresses when it grew more than ``max_regress_pct`` percent
-    over the baseline *and* the current value exceeds ``min_ms`` (the
-    floor keeps sub-millisecond timer jitter from failing a gate).
-    Leaves present on only one side are skipped -- a new benchmark is
-    not a regression.
-    """
-    base = dict(_ms_leaves(baseline))
-    deltas: List[BenchDelta] = []
-    for path, value in _ms_leaves(current):
-        if path not in base:
-            continue
-        reference = base[path]
-        if reference <= 0.0:
-            continue
-        delta_pct = 100.0 * (value - reference) / reference
-        regressed = (
-            delta_pct > max_regress_pct and value > min_ms
-        )
-        deltas.append(
-            BenchDelta(
-                path=path,
-                baseline_ms=reference,
-                current_ms=value,
-                delta_pct=delta_pct,
-                regressed=regressed,
-            )
-        )
-    return deltas
-
-
-# ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
 def render_checks(checks: Sequence[SloCheck]) -> str:
@@ -379,26 +302,3 @@ def render_checks(checks: Sequence[SloCheck]) -> str:
     )
     return "\n".join(lines) + "\n"
 
-
-def render_deltas(
-    deltas: Sequence[BenchDelta], max_regress_pct: float
-) -> str:
-    """The ``repro slo --check-bench`` diff table."""
-    if not deltas:
-        return "(no comparable *_ms leaves between the two payloads)\n"
-    lines = [
-        f"{'benchmark':<52} {'base ms':>10} {'now ms':>10} {'delta':>8}"
-    ]
-    for delta in deltas:
-        marker = "  REGRESSION" if delta.regressed else ""
-        lines.append(
-            f"{delta.path:<52} {delta.baseline_ms:>10.3f} "
-            f"{delta.current_ms:>10.3f} {delta.delta_pct:>+7.1f}%{marker}"
-        )
-    regressed = sum(1 for d in deltas if d.regressed)
-    lines.append("")
-    lines.append(
-        f"{len(deltas)} leaf timing(s) compared, {regressed} regression(s) "
-        f"beyond +{max_regress_pct:g}%"
-    )
-    return "\n".join(lines) + "\n"

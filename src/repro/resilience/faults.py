@@ -320,21 +320,6 @@ register_fault_site(
 )
 
 
-def _sparse_singular_fault() -> BaseException:
-    import numpy as np  # local: resilience must not hard-depend on numpy
-
-    return np.linalg.LinAlgError(
-        "injected fault: sparse LU factorization reports a singular matrix"
-    )
-
-
-register_fault_site(
-    "dc.sparse",
-    "sparse linear solve: splu factorization fails as singular "
-    "(exercises the LinAlgError taxonomy shared with the dense path "
-    "and retry-ladder escalation under the sparse backend)",
-    make_error=_sparse_singular_fault,
-)
 register_fault_site(
     "plan.step",
     "plan executor, before a step action: an unexpected internal error "

@@ -9,23 +9,13 @@ This module compiles a circuit's stamp pattern **once** per
   residual, AC matrix) recorded in the order an element-by-element
   stamper would apply it, so a single ``np.add.at`` scatter reproduces
   that accumulation bit for bit (``np.add.at`` applies duplicate
-  indices sequentially in entry order);
-* a cached symbolic CSC layout (:class:`_SparsePattern`) -- computed
-  once and reused across every Newton iteration and every retry-ladder
-  rung that shares the system -- so large circuits factor with
-  ``scipy.sparse.linalg.splu`` instead of dense LU.
+  indices sequentially in entry order).
 
-Systems below :data:`SPARSE_THRESHOLD` unknowns assemble dense and
-solve with ``np.linalg.solve``; every bundled op amp is in this tier.
-Larger systems (flattened hierarchies, foreign decks, meshes) assemble
-straight into CSC and solve via ``splu``.  The element-by-element
-stampers the plan is differential-tested against live in the test
-suite (``tests/numeric_reference.py``), not here.
-
-:func:`solve_linear` gives both tiers one error taxonomy: a SuperLU
-failure is re-raised as :class:`numpy.linalg.LinAlgError`, so the
-retry ladder's singular-Jacobian handling is tier-agnostic (chaos
-site ``dc.sparse`` injects exactly that failure).
+Every system assembles dense and solves with ``np.linalg.solve``.  The
+largest bundled testbench has 20 unknowns; larger decks take the same
+path, only more slowly.  The element-by-element stampers the plan is
+differential-tested against live in the test suite
+(``tests/numeric_reference.py``), not here.
 """
 
 from __future__ import annotations
@@ -33,8 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from ..circuit.elements import (
     Capacitor,
@@ -44,38 +32,22 @@ from ..circuit.elements import (
     VoltageSource,
 )
 from ..errors import SimulationError
-from ..resilience.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..devices.mosfet import MosfetModel, MosfetOperatingPoint
     from .mna import MnaSystem
 
-__all__ = ["SPARSE_THRESHOLD", "StampPlan", "solve_linear"]
-
-#: Unknown count at or above which assembly and solves go sparse.
-SPARSE_THRESHOLD = 64
+__all__ = ["StampPlan", "solve_linear"]
 
 
-def solve_linear(jacobian, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``jacobian @ delta = rhs`` under one error taxonomy.
+def solve_linear(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``jacobian @ delta = rhs`` with ``np.linalg.solve``.
 
-    Dense ndarray -> ``np.linalg.solve``, a ``(B, n, n)`` stack with
-    ``(B, n)`` right-hand sides included (one LU per member, one call);
-    CSC matrix -> ``splu``.
-    SuperLU reports singularity as ``RuntimeError`` (and degenerate
-    inputs as ``ValueError``); both are translated to
-    :class:`numpy.linalg.LinAlgError` so callers -- ``newton_solve``,
-    the transient integrator, the AC sweep -- keep a single except
-    clause regardless of backend.
+    A ``(B, n, n)`` stack with ``(B, n)`` right-hand sides solves as one
+    call (one LU per member).  A singular matrix raises
+    :class:`numpy.linalg.LinAlgError`, the one failure callers --
+    ``newton_solve``, the transient integrator -- catch.
     """
-    if sp.issparse(jacobian):
-        fault_point("dc.sparse")
-        try:
-            return splu(jacobian.tocsc()).solve(rhs)
-        except (RuntimeError, ValueError) as exc:
-            raise np.linalg.LinAlgError(
-                f"sparse LU factorization failed: {exc}"
-            ) from exc
     if jacobian.ndim == 3:
         return np.linalg.solve(jacobian, rhs[..., None])[..., 0]
     return np.linalg.solve(jacobian, rhs)
@@ -119,48 +91,6 @@ class _EntryRecorder:
         cols = np.asarray(self._cols, dtype=np.intp)
         groups = np.asarray(self._groups, dtype=np.intp)
         return rows, cols, groups
-
-
-class _SparsePattern:
-    """Symbolic CSC layout for one (rows, cols) entry pattern.
-
-    Built once, then every numeric assembly is a zero-fill plus one
-    ``np.add.at`` into the duplicate-summing slot map -- the
-    "symbolic factorization reuse" across Newton iterations and
-    retry-ladder rungs (which share the :class:`MnaSystem` and hence
-    this pattern).  The slot scatter preserves original entry order,
-    so duplicate summation stays bit-identical to the dense scatter.
-    """
-
-    __slots__ = ("slot", "nnz", "indices", "indptr", "shape")
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, size: int):
-        order = np.lexsort((rows, cols))
-        sorted_rows = rows[order]
-        sorted_cols = cols[order]
-        count = rows.size
-        fresh = np.ones(count, dtype=bool)
-        if count:
-            fresh[1:] = (sorted_rows[1:] != sorted_rows[:-1]) | (
-                sorted_cols[1:] != sorted_cols[:-1]
-            )
-        slot_sorted = np.cumsum(fresh) - 1
-        slot = np.empty(count, dtype=np.intp)
-        slot[order] = slot_sorted
-        self.slot = slot
-        self.nnz = int(slot_sorted[-1]) + 1 if count else 0
-        self.indices = sorted_rows[fresh].astype(np.int32)
-        col_counts = np.zeros(size + 1, dtype=np.int64)
-        np.add.at(col_counts, sorted_cols[fresh] + 1, 1)
-        self.indptr = np.cumsum(col_counts).astype(np.int32)
-        self.shape = (size, size)
-
-    def matrix(self, entry_values: np.ndarray) -> "sp.csc_matrix":
-        data = np.zeros(self.nnz, dtype=entry_values.dtype)
-        np.add.at(data, self.slot, entry_values)
-        return sp.csc_matrix(
-            (data, self.indices, self.indptr), shape=self.shape
-        )
 
 
 # Value groups for the DC Jacobian entry list.
@@ -314,8 +244,6 @@ class StampPlan:
         self.f_mask = f_mask
         self.f_rows_valid = f_rows[f_mask]
 
-        self._dc_pattern: Optional[_SparsePattern] = None
-        self._ac_pattern: Optional[_SparsePattern] = None
         self._ac_ready = False
 
     # ------------------------------------------------------------------
@@ -415,19 +343,6 @@ class StampPlan:
             (self.j_rows_valid, self.j_cols_valid),
             j_vals[self.j_mask],
         )
-        return self._residual_from(f_vals, x, source_scale), jacobian, ops
-
-    def assemble_dc_sparse(
-        self, x: np.ndarray, gmin: float, source_scale: float
-    ) -> Tuple[np.ndarray, "sp.csc_matrix", Dict[str, "MosfetOperatingPoint"]]:
-        """Assembly straight into the cached CSC pattern."""
-        f_vals, j_vals, ops = self._dc_entry_values(x, gmin, source_scale)
-        assert j_vals is not None
-        if self._dc_pattern is None:
-            self._dc_pattern = _SparsePattern(
-                self.j_rows_valid, self.j_cols_valid, self.size
-            )
-        jacobian = self._dc_pattern.matrix(j_vals[self.j_mask])
         return self._residual_from(f_vals, x, source_scale), jacobian, ops
 
     def assemble_dc_residual(
@@ -627,13 +542,3 @@ class StampPlan:
         )
         return matrix
 
-    def assemble_ac_sparse(
-        self, omega: float, g_vals: np.ndarray, c_vals: np.ndarray
-    ) -> "sp.csc_matrix":
-        """One frequency, assembled into the cached CSC pattern."""
-        if self._ac_pattern is None:
-            self._ac_pattern = _SparsePattern(
-                self.ac_rows_valid, self.ac_cols_valid, self.size
-            )
-        entry_values = g_vals + (1j * omega) * c_vals
-        return self._ac_pattern.matrix(entry_values[self.ac_mask])

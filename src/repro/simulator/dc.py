@@ -166,10 +166,6 @@ def newton_batch(
         if budget is not None:
             budget.charge_newton(len(active), block=block, step="newton")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # Vectorized assembly; dense ndarray for small systems,
-            # CSC above the sparse threshold (the CSC symbolic layout
-            # is cached on the system's StampPlan, so it is shared
-            # across iterations and across retry-ladder rungs).
             assembled = [
                 systems[i].assemble_dc_system(xs[i], gmin, source_scale)
                 for i in active
@@ -252,11 +248,11 @@ def newton_batch(
 
 
 def _newton_updates(
-    jacobians: List[Any], rhs: List[np.ndarray]
+    jacobians: List[np.ndarray], rhs: List[np.ndarray]
 ) -> List[Union[np.ndarray, np.linalg.LinAlgError]]:
-    """Solve each member's Newton system, a dense batch as one stacked
-    LU call.  A member whose solve fails gets its error instead."""
-    if len(jacobians) > 1 and isinstance(jacobians[0], np.ndarray):
+    """Solve each member's Newton system, a batch as one stacked LU
+    call.  A member whose solve fails gets its error instead."""
+    if len(jacobians) > 1:
         try:
             return list(solve_linear(np.stack(jacobians), np.stack(rhs)))
         except np.linalg.LinAlgError:

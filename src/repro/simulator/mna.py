@@ -23,7 +23,7 @@ from ..devices.mosfet import MosfetModel, MosfetOperatingPoint
 from ..errors import SimulationError
 from ..obs.spans import count as metric_count
 from ..process.parameters import ProcessParameters
-from .assembly import SPARSE_THRESHOLD, StampPlan, solve_linear
+from .assembly import StampPlan
 
 __all__ = ["MnaSystem", "OperatingPointResult"]
 
@@ -127,8 +127,6 @@ class MnaSystem:
                 process.min_drain_width,
                 process.cox,
             )
-        #: True when the system factors sparsely (CSC + ``splu``).
-        self.use_sparse = self.size >= SPARSE_THRESHOLD
         self._stamp_plan: Optional[StampPlan] = None
 
     # ------------------------------------------------------------------
@@ -173,15 +171,13 @@ class MnaSystem:
         x: np.ndarray,
         gmin: float = 1e-12,
         source_scale: float = 1.0,
-    ):
-        """Residual F(x), Jacobian *operator* J(x) and device ops.
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, MosfetOperatingPoint]]:
+        """Residual F(x), dense Jacobian J(x) and device ops.
 
         The residual convention is KCL: F[node] = sum of currents
         *leaving* the node through elements minus injected source
         currents; voltage source rows hold ``V(p) - V(n)`` minus the
         source's value, as last set by :meth:`set_source_values`.
-        ``J`` is a ``scipy.sparse`` CSC matrix when :attr:`use_sparse`,
-        else dense; pass it to :func:`repro.simulator.assembly.solve_linear`.
 
         Args:
             x: current unknown vector.
@@ -189,8 +185,6 @@ class MnaSystem:
             source_scale: multiplies all independent sources (source
                 stepping).
         """
-        if self.use_sparse:
-            return self.stamp_plan.assemble_dc_sparse(x, gmin, source_scale)
         return self.stamp_plan.assemble_dc_dense(x, gmin, source_scale)
 
     def assemble_dc_residual(
@@ -218,9 +212,7 @@ class MnaSystem:
         converged operating point) and excited by ``rhs``: a vector
         (e.g. :meth:`StampPlan.ac_rhs`) gives an ``(F, size)`` result,
         a ``(size, k)`` block of excitation columns an ``(F, size, k)``
-        one.  Dense systems solve the whole grid as one stacked LU
-        call; sparse ones solve point by point in the cached CSC
-        pattern.
+        one.  The whole grid solves as one stacked LU call.
 
         Raises:
             SimulationError: naming the first frequency whose matrix
@@ -229,15 +221,6 @@ class MnaSystem:
         plan = self.stamp_plan
         omegas = 2.0 * np.pi * freqs
         g_vals, c_vals = plan.ac_entry_values(device_ops)
-        if self.use_sparse:
-            solution = np.empty((freqs.size, *rhs.shape), dtype=complex)
-            for k, omega in enumerate(omegas):
-                matrix = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
-                try:
-                    solution[k] = solve_linear(matrix, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise _ac_failure(freqs[k], exc) from exc
-            return solution
         stack = plan.assemble_ac_stacked(omegas, g_vals, c_vals)
         columns = rhs if rhs.ndim == 2 else rhs[:, None]
         try:
@@ -250,7 +233,9 @@ class MnaSystem:
                 try:
                     np.linalg.solve(stack[k], columns)
                 except np.linalg.LinAlgError as point_exc:
-                    raise _ac_failure(frequency, point_exc) from point_exc
+                    raise SimulationError(
+                        f"AC solve failed at {frequency:g} Hz: {point_exc}"
+                    ) from point_exc
             raise SimulationError(f"AC solve failed: {exc}") from exc
         return solution if rhs.ndim == 2 else solution[..., 0]
 
@@ -275,7 +260,3 @@ class MnaSystem:
                 for source, value in zip(self.vsources, self.vsource_values)
             },
         )
-
-
-def _ac_failure(frequency: float, exc: Exception) -> SimulationError:
-    return SimulationError(f"AC solve failed at {frequency:g} Hz: {exc}")

@@ -26,8 +26,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-import scipy.sparse as sp
-
 from ..circuit.elements import GROUND
 from ..circuit.netlist import Circuit
 from ..errors import ConvergenceError, SimulationError
@@ -228,8 +226,8 @@ def _integrate(
 ):
     """Fixed-step integration from the initial state ``x``: one
     :class:`_CompanionBank` holds every capacitor branch, companion
-    stamps/updates are whole-bank array operations, and large systems
-    solve sparsely.  Each step drives the sources at its end time.
+    stamps/updates are whole-bank array operations.  Each step drives
+    the sources at its end time.
     Returns (times, per-step unknown vectors)."""
     node_a: List[int] = []
     node_b: List[int] = []
@@ -285,10 +283,8 @@ def _solve_timestep(
     for iteration in range(1, max_iterations + 1):
         residual, jacobian, device_ops = plan.assemble_dc_dense(x, 1e-12, 1.0)
         bank.stamp(residual, jacobian, x, h)
-
-        operator = sp.csc_matrix(jacobian) if system.use_sparse else jacobian
         try:
-            delta = solve_linear(operator, -residual)
+            delta = solve_linear(jacobian, -residual)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"transient singular Jacobian at t={t:g}: {exc}", iteration

@@ -2,9 +2,8 @@
 
 The production simulator has one numeric path per analysis: the
 :class:`~repro.simulator.assembly.StampPlan` scatter for DC and AC
-assembly, one stacked (or sparse, point-by-point) small-signal solve
-for AC, noise and mismatch, and the companion-bank transient
-integrator.  This module keeps the obvious element-by-element versions
+assembly, one stacked small-signal solve for AC, noise and mismatch,
+and the companion-bank transient integrator.  This module keeps the obvious element-by-element versions
 of the same computations -- the *specification* the plan replays --
 so the differential suites can pit the two against each other:
 
@@ -16,7 +15,7 @@ so the differential suites can pit the two against each other:
   companion object per capacitor branch and a scalar Newton loop.
 
 :func:`reference_backend` swaps all of them into the live simulator at
-once (dense solves only), so a whole pipeline -- ``operating_point``,
+once, so a whole pipeline -- ``operating_point``,
 ``ac_analysis``, ``verify_opamp``, a corner batch -- can be replayed on
 the reference and compared byte for byte.  It is a context manager for
 library code; pytest tests use the ``monkeypatch`` form,
@@ -25,7 +24,6 @@ library code; pytest tests use the ``monkeypatch`` form,
 
 from __future__ import annotations
 
-import sys
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -40,7 +38,6 @@ from repro.circuit.elements import (
 )
 from repro.devices.mosfet import MosfetOperatingPoint
 from repro.errors import ConvergenceError, SimulationError
-from repro.simulator import mna as mna_module
 from repro.simulator import transient as transient_module
 from repro.simulator.dc import MAX_STEP, RELTOL, VTOL
 from repro.simulator.mna import MnaSystem
@@ -410,8 +407,6 @@ def _reference_patches():
         (MnaSystem, "assemble_dc_system", assemble_dc_reference),
         (MnaSystem, "assemble_dc_residual", _dc_residual_reference),
         (MnaSystem, "solve_ac", solve_ac_reference),
-        # Every system factors densely, whatever its size.
-        (mna_module, "SPARSE_THRESHOLD", sys.maxsize),
         (transient_module, "_integrate", integrate_reference),
     )
 

@@ -54,7 +54,6 @@ class TestRegistry:
             "cache.corrupt",
             "dc.newton",
             "dc.newton.nan",
-            "dc.sparse",
             "opamp.package",
             "plan.rule",
             "plan.step",
@@ -136,31 +135,6 @@ class TestFailureTaxonomy:
             faulted = measure_rejection(amp)
         assert injector.fired
         assert faulted == pytest.approx(clean, rel=1e-6)
-
-    def test_sparse_fault_absorbed_by_retry_ladder(self):
-        """A one-shot splu failure on a sparse-sized system surfaces as
-        the same LinAlgError-derived ConvergenceError the ladder rungs
-        catch: escalation absorbs it and the answer is unchanged."""
-        import numpy as np
-
-        from repro.circuit import GROUND, Circuit
-        from repro.simulator import operating_point
-        from repro.simulator.mna import MnaSystem
-
-        c = Circuit("sparse_mesh")
-        for i in range(80):
-            c.add_resistor(f"r{i}", f"n{i}", f"n{i + 1}", 1e3 + float(i))
-        c.add_vsource("vin", "n0", GROUND, dc=5.0)
-        c.add_resistor("rg", "n80", GROUND, 1e3)
-        assert MnaSystem(c, CMOS_5UM).use_sparse
-
-        clean = operating_point(c, CMOS_5UM)
-        with inject("dc.sparse") as injector:
-            faulted = operating_point(c, CMOS_5UM)
-        assert injector.fired
-        for node, voltage in clean.voltages.items():
-            assert faulted.voltages[node] == pytest.approx(voltage, abs=1e-9)
-        assert np.all(np.isfinite(list(faulted.voltages.values())))
 
     def test_analysis_fault_is_loud_outside_best_effort(self):
         """Measurement faults on the verify path propagate as-is; the

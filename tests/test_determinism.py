@@ -91,12 +91,6 @@ from tests.numeric_reference import reference_backend
 reference_backend().__enter__()
 """
 
-#: Pushes every system, op amps included, through the CSC/splu tier.
-SPARSE_PRELUDE = """
-import repro.simulator.mna
-repro.simulator.mna.SPARSE_THRESHOLD = 1
-"""
-
 
 def _run(
     script: str, seed: str, *argv: str, extra_env=None, prelude: str = ""
@@ -205,13 +199,3 @@ class TestAssemblyBackendParity:
         for seed in SEEDS:
             forced = _run(OP_SCRIPT, seed, label, prelude=REFERENCE_PRELUDE)
             assert forced == default
-
-    def test_sparse_tier_does_not_leak_into_records(self):
-        # Dropping the sparse threshold to 1 pushes even the op-amp
-        # solves through the CSC/splu tier; the *record* bytes must
-        # still match, since sizing rules consume converged values far
-        # above solver noise.  (Byte-level op parity is only promised
-        # for the dense tier -- this guards the user-facing artifact.)
-        default = _run(RECORD_SCRIPT, "0", "A")
-        sparse_everywhere = _run(RECORD_SCRIPT, "0", "A", prelude=SPARSE_PRELUDE)
-        assert sparse_everywhere == default

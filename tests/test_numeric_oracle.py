@@ -1,18 +1,16 @@
 """Differential-testing oracle: scalar reference vs. vectorized core.
 
 The vectorized stamping plan (:mod:`repro.simulator.assembly`), the
-sparse solver tier, the stacked frequency-grid solve and the companion
-bank transient are only trustworthy if they are *indistinguishable*
-from the element-by-element reference they replaced
-(:mod:`tests.numeric_reference`).  This suite pits the two
-implementations against each other on every circuit the repo can
-produce -- the paper's synthesized test cases, the foreign fixture
-decks, a flattened ADC sub-hierarchy, and hypothesis-generated random
-meshes -- and asserts:
+stacked frequency-grid solve and the companion bank transient are only
+trustworthy if they are *indistinguishable* from the element-by-element
+reference they replaced (:mod:`tests.numeric_reference`).  This suite
+pits the two implementations against each other on every circuit the
+repo can produce -- the paper's synthesized test cases, the foreign fixture
+decks, a flattened ADC sub-hierarchy, resistor meshes and
+hypothesis-generated random circuits -- and asserts:
 
-* element-wise agreement of the DC residual/Jacobian and the complex
-  AC matrix/rhs (bit-exact for the dense plan, which shares the scalar
-  accumulation order; to solver precision across the sparse tier);
+* bit-exact agreement of the DC residual/Jacobian and the complex AC
+  matrix/rhs (the plan shares the scalar accumulation order);
 * end-to-end ``operating_point`` parity across backends, including the
   Newton iteration count;
 * solver-counter parity (``dc.lu_solves``, ``dc.newton.iterations``) so
@@ -54,6 +52,7 @@ from .numeric_reference import (
     assemble_dc_reference,
     reference_backend,
 )
+from .test_determinism import _run
 from .test_foreign_decks import _fixture
 
 # ---------------------------------------------------------------------------
@@ -78,6 +77,7 @@ def _corpus() -> "dict":
         circuit, _subckts = parse_deck(_fixture(f"{deck}.sp"), name=deck)
         circuits[f"fixture_{deck}"] = circuit
     circuits["adc_preamp"] = _adc_preamp()
+    circuits["mesh10"] = _mesh_circuit(10)
     return circuits
 
 
@@ -103,7 +103,8 @@ def _random_states(system: MnaSystem, count: int = 5):
 
 
 def _mesh_circuit(side: int) -> Circuit:
-    """Resistor grid large enough to cross the sparse threshold."""
+    """``side x side`` resistor grid with a corner supply: at side 10
+    the system has 100 unknowns, five times the largest testbench."""
     c = Circuit(f"mesh{side}")
 
     def node(i: int, j: int) -> str:
@@ -135,7 +136,7 @@ def _ac_matrix(system: MnaSystem, omega: float, device_ops) -> np.ndarray:
 
 
 class TestDcAssemblyAgreement:
-    @pytest.mark.parametrize("key", CORPUS_KEYS)
+    @pytest.mark.parametrize("key", (*CORPUS_KEYS, "mesh10"))
     def test_dense_plan_bit_identical(self, corpus, key):
         system = MnaSystem(corpus[key], CMOS_5UM)
         plan = system.stamp_plan
@@ -150,18 +151,6 @@ class TestDcAssemblyAgreement:
                 assert ref_ops.keys() == vec_ops.keys()
 
     @pytest.mark.parametrize("key", CORPUS_KEYS)
-    def test_sparse_plan_matches_reference(self, corpus, key):
-        system = MnaSystem(corpus[key], CMOS_5UM)
-        plan = system.stamp_plan
-        for x in _random_states(system, count=3):
-            ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
-            sp_f, sp_j, _ = plan.assemble_dc_sparse(x, 1e-12, 1.0)
-            assert np.array_equal(ref_f, sp_f)
-            # CSC summation follows the same entry order, so even the
-            # sparse tier agrees bit-for-bit entrywise.
-            assert np.array_equal(ref_j, sp_j.toarray())
-
-    @pytest.mark.parametrize("key", CORPUS_KEYS)
     def test_residual_only_path_agrees(self, corpus, key):
         system = MnaSystem(corpus[key], CMOS_5UM)
         for x in _random_states(system, count=3):
@@ -171,17 +160,6 @@ class TestDcAssemblyAgreement:
             )
             assert np.array_equal(ref_f, res_f)
             assert ref_ops.keys() == res_ops.keys()
-
-    def test_sparse_sized_mesh_agrees(self):
-        system = MnaSystem(_mesh_circuit(10), CMOS_5UM)
-        assert system.use_sparse
-        for x in _random_states(system, count=2):
-            ref_f, ref_j, _ = assemble_dc_reference(system, x, 1e-12, 1.0)
-            sp_f, sp_j, _ = system.stamp_plan.assemble_dc_sparse(
-                x, 1e-12, 1.0
-            )
-            assert np.array_equal(ref_f, sp_f)
-            assert np.array_equal(ref_j, sp_j.toarray())
 
 
 class TestAcAssemblyAgreement:
@@ -198,7 +176,7 @@ class TestAcAssemblyAgreement:
             assert np.array_equal(ref_rhs, system.stamp_plan.ac_rhs())
 
     @pytest.mark.parametrize("key", ("testcase_A", "fixture_ota_5t"))
-    def test_ac_sparse_and_stacked_tiers_agree(self, corpus, key):
+    def test_ac_stacked_matches_reference(self, corpus, key):
         circuit = corpus[key]
         op = operating_point(circuit, CMOS_5UM)
         system = MnaSystem(circuit, CMOS_5UM)
@@ -209,8 +187,6 @@ class TestAcAssemblyAgreement:
         for i, omega in enumerate(omegas):
             ref_y, _ = assemble_ac_reference(system, float(omega), op.device_ops)
             assert np.array_equal(ref_y, stack[i])
-            sparse_y = plan.assemble_ac_sparse(float(omega), g_vals, c_vals)
-            assert np.array_equal(ref_y, sparse_y.toarray())
 
     def test_ac_source_overrides_agree(self, corpus):
         circuit = corpus["testcase_A"]
@@ -241,10 +217,9 @@ def _solve_with_backend(circuit, forced: bool):
 class TestOperatingPointParity:
     @pytest.mark.parametrize("key", CORPUS_KEYS)
     def test_bundled_circuits_bit_identical(self, corpus, key):
-        """Below the sparse threshold the vectorized path shares the
-        scalar accumulation order, so even the floating-point noise is
-        identical: voltages, branch currents and iteration counts must
-        match bit-for-bit."""
+        """The vectorized path shares the scalar accumulation order, so
+        even the floating-point noise is identical: voltages, branch
+        currents and iteration counts must match bit-for-bit."""
         circuit = corpus[key]
         reference = _solve_with_backend(circuit, forced=True)
         vectorized = _solve_with_backend(circuit, forced=False)
@@ -254,22 +229,18 @@ class TestOperatingPointParity:
         for name, ref_op in reference.device_ops.items():
             assert vectorized.device_ops[name].ids == ref_op.ids
 
-    def test_sparse_mesh_agrees_to_solver_precision(self):
-        circuit = _mesh_circuit(10)
-        reference = _solve_with_backend(circuit, forced=True)
-        sparse = _solve_with_backend(circuit, forced=False)
-        assert reference.iterations == sparse.iterations
-        for node, voltage in reference.voltages.items():
-            assert sparse.voltages[node] == pytest.approx(voltage, abs=1e-9)
+    def test_mesh_bit_identical(self, corpus):
+        reference = _solve_with_backend(corpus["mesh10"], forced=True)
+        vectorized = _solve_with_backend(corpus["mesh10"], forced=False)
+        assert reference.voltages == vectorized.voltages
+        assert reference.iterations == vectorized.iterations
 
     def test_reference_backend_is_restored(self):
         """Leaving the block puts every production path back."""
         before = MnaSystem.assemble_dc_system
         with reference_backend():
             assert MnaSystem.assemble_dc_system is not before
-            assert not MnaSystem(_mesh_circuit(10), CMOS_5UM).use_sparse
         assert MnaSystem.assemble_dc_system is before
-        assert MnaSystem(_mesh_circuit(10), CMOS_5UM).use_sparse
 
     def test_shipped_simulator_has_one_path(self):
         """No environment switch selects another numeric path, and the
@@ -278,6 +249,23 @@ class TestOperatingPointParity:
         for module in package.glob("*.py"):
             assert "environ" not in module.read_text(encoding="utf-8"), module
         assert not [name for name in dir(MnaSystem) if "reference" in name]
+
+    def test_simulator_does_not_import_scipy(self):
+        """The dense solver is the only one: importing the CLI and
+        solving an operating point loads no ``scipy`` module."""
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.simulator\n"
+            "from repro.opamp.designer import synthesize\n"
+            "from repro.opamp.testcases import paper_test_cases\n"
+            "from repro.process import CMOS_5UM\n"
+            "amp = synthesize(paper_test_cases()['A'], CMOS_5UM).best\n"
+            "op = repro.simulator.operating_point(\n"
+            "    amp.standalone_circuit(), CMOS_5UM)\n"
+            "assert op.iterations > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert _run(script, "0").strip() == "[]"
 
 
 class TestSolverCounterParity:
@@ -296,18 +284,14 @@ class TestSolverCounterParity:
         }
         return op, totals
 
-    @pytest.mark.parametrize("key", ("testcase_A", "testcase_C", "adc_preamp"))
+    @pytest.mark.parametrize(
+        "key", ("testcase_A", "testcase_C", "adc_preamp", "mesh10")
+    )
     def test_dense_sized_counter_parity(self, corpus, key):
         _, ref = self._counters_for(corpus[key], forced=True)
         _, vec = self._counters_for(corpus[key], forced=False)
         assert ref == vec
         assert ref["dc.lu_solves"] > 0
-
-    def test_sparse_tier_counter_parity(self):
-        circuit = _mesh_circuit(10)
-        _, ref = self._counters_for(circuit, forced=True)
-        _, sparse = self._counters_for(circuit, forced=False)
-        assert ref == sparse
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +316,7 @@ class TestAnalysisParity:
         for node, phasor in reference.phasors.items():
             assert np.array_equal(phasor, vectorized.phasors[node])
 
-    def test_sparse_ac_sweep_agrees(self):
+    def test_mesh_ac_sweep_bit_identical(self):
         circuit = _mesh_circuit(10)
         circuit.add_capacitor("cload", "n5_5", GROUND, 1e-12)
         op = operating_point(circuit, CMOS_5UM)
@@ -345,9 +329,7 @@ class TestAnalysisParity:
                 circuit, CMOS_5UM, op, self.FREQS, source_overrides=drive
             )
         for node, phasor in reference.phasors.items():
-            np.testing.assert_allclose(
-                vectorized.phasors[node], phasor, rtol=1e-9, atol=1e-12
-            )
+            assert np.array_equal(phasor, vectorized.phasors[node])
 
     @pytest.mark.parametrize("key", ("testcase_A", "testcase_B"))
     def test_noise_bit_identical(self, corpus, key):
@@ -422,11 +404,49 @@ class TestCornerBatchParity:
         assert set(batched) == {"typical", "fast", "slow"}
         for corner, result in batched.items():
             solo = operating_point(circuit, _corner_process(corner))
+            assert result.voltages == solo.voltages
             assert result.iterations == solo.iterations
-            for node, voltage in solo.voltages.items():
-                assert result.voltages[node] == pytest.approx(
-                    voltage, abs=1e-9
-                )
+
+    def test_diode_loaded_mesh_corners_match_reference(self):
+        """A 16x16 mesh with a diagonal of diode-connected NMOS loads
+        (so Newton iterates) through the corner batch: the vectorized
+        path repeats the scalar reference's trajectory exactly -- same
+        voltages, iterations and ``dc.*`` counters, one LU solve per
+        Newton iteration."""
+        circuit = _mesh_circuit(16)
+        for m in range(1, 9):
+            circuit.add_mosfet(
+                f"m{m}",
+                f"n{m}_{m}",
+                f"n{m}_{m}",
+                GROUND,
+                GROUND,
+                "nmos",
+                width=50e-6,
+                length=10e-6,
+            )
+
+        def run():
+            tracer = Tracer()
+            with tracer.activate():
+                results = corner_operating_points(circuit, CMOS_5UM)
+            counters = {
+                key: value
+                for key, value in tracer.metrics.snapshot()["counters"].items()
+                if key.startswith("dc.")
+            }
+            return results, counters, tracer.metrics
+
+        vectorized, vec_counters, metrics = run()
+        with reference_backend():
+            reference, ref_counters, _ = run()
+        assert set(vectorized) == {"typical", "fast", "slow"}
+        for corner, result in reference.items():
+            assert vectorized[corner].voltages == result.voltages
+            assert vectorized[corner].iterations == result.iterations
+        assert vec_counters == ref_counters
+        lu_solves = metrics.counter_total("dc.lu_solves")
+        assert lu_solves == metrics.counter_total("dc.newton.iterations") > 0
 
     def test_dense_sized_corners_match_solo_exactly(self, corpus):
         circuit = corpus["testcase_A"]
@@ -553,9 +573,6 @@ class TestHypothesisOracle:
         # agreement is in fact exact, not merely within tolerance.
         assert np.array_equal(ref_f, vec_f)
         assert np.array_equal(ref_j, vec_j)
-        sp_f, sp_j, _ = system.stamp_plan.assemble_dc_sparse(x, 1e-12, 1.0)
-        assert np.array_equal(ref_f, sp_f)
-        assert np.array_equal(ref_j, sp_j.toarray())
 
     @given(circuit=random_circuits())
     @settings(max_examples=25, deadline=None)

@@ -250,6 +250,25 @@ class TestDesignIntegration:
         result = synthesize(SPEC_A, CMOS_5UM)
         assert result.report is None
 
+    def test_lint_passes_record_spans(self):
+        """Each static pass the bench times as ``lint.*_ms`` reports
+        one timed span of its own."""
+        from repro.circuit.netlist_io import parse_deck
+        from repro.lint import lint_dataflow, lint_topology, lint_units
+
+        from .test_foreign_decks import _fixture
+
+        circuit, _ = parse_deck(_fixture("ota_5t.sp"), name="ota_5t")
+        tracer = Tracer()
+        with tracer.activate():
+            lint_topology(circuit, process=CMOS_5UM)
+            lint_dataflow()
+            lint_units()
+        for name in ("lint.topology", "lint.dataflow", "lint.units"):
+            spans = [s for s in tracer.spans if s.name == name]
+            assert len(spans) == 1, name
+            assert spans[0].duration_ms > 0.0, name
+
 
 # ----------------------------------------------------------------------
 # Exporters

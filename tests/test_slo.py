@@ -1,6 +1,6 @@
 """SLO analytics: percentile math, histogram quantiles, Prometheus
-exposition, tail-latency tables, bench regression diffs, and the
-``repro slo`` command line."""
+exposition, tail-latency tables, and the ``repro slo`` command
+line."""
 
 import json
 
@@ -11,7 +11,6 @@ from repro.obs.export import latency_table, percentile, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     SloTarget,
-    diff_bench,
     evaluate_snapshot,
     evaluate_trace,
     histogram_quantile,
@@ -179,32 +178,6 @@ class TestLoadTargets:
             load_targets(str(path))
 
 
-class TestDiffBench:
-    BASE = {"cases": {"A": {"wall_ms": 10.0, "spans": 5}}, "other_ms": 0.2}
-
-    def test_no_regression_when_flat(self):
-        deltas = diff_bench(self.BASE, self.BASE, max_regress_pct=10.0)
-        assert deltas and not any(d.regressed for d in deltas)
-
-    def test_growth_beyond_threshold_regresses(self):
-        current = {"cases": {"A": {"wall_ms": 25.0}}, "other_ms": 0.2}
-        deltas = diff_bench(self.BASE, current, max_regress_pct=100.0)
-        flagged = [d for d in deltas if d.regressed]
-        assert [d.path for d in flagged] == ["cases.A.wall_ms"]
-        assert flagged[0].delta_pct == pytest.approx(150.0)
-
-    def test_min_ms_floor_suppresses_jitter(self):
-        current = {"cases": {"A": {"wall_ms": 10.0}}, "other_ms": 0.45}
-        # other_ms grew 125% but stays under the 0.5 ms floor.
-        deltas = diff_bench(self.BASE, current, max_regress_pct=100.0)
-        assert not any(d.regressed for d in deltas)
-
-    def test_one_sided_leaves_skipped(self):
-        current = {"cases": {"A": {"wall_ms": 10.0, "new_ms": 99.0}}}
-        paths = [d.path for d in diff_bench(self.BASE, current)]
-        assert "cases.A.new_ms" not in paths
-
-
 class TestPrometheusRendering:
     def test_counter_gauge_histogram_families(self):
         reg = MetricsRegistry()
@@ -275,31 +248,6 @@ class TestSloCli:
         assert main(["slo", "--trace", str(trace), "--targets", bad]) == 4
         assert "VIOLATION" in capsys.readouterr().out
 
-    def test_bench_mode(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps({"a": {"wall_ms": 10.0}}))
-        cur.write_text(json.dumps({"a": {"wall_ms": 30.0}}))
-        assert (
-            main(
-                [
-                    "slo", "--check-bench", str(cur), "--baseline",
-                    str(base), "--max-regress-pct", "50",
-                ]
-            )
-            == 4
-        )
-        assert "REGRESSION" in capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "slo", "--check-bench", str(cur), "--baseline",
-                    str(base), "--max-regress-pct", "300",
-                ]
-            )
-            == 0
-        )
-
     def test_metrics_url_mode(self, tmp_path, capsys):
         from repro.serve import ServeConfig, ServerHandle
 
@@ -324,7 +272,6 @@ class TestSloCli:
         assert "serve.request_ms{endpoint=healthz}" in out
 
     def test_usage_errors(self, capsys):
-        assert main(["slo", "--check-bench", "x.json"]) == 1
         assert main(["slo", "--targets", "t.json"]) == 1
         err = capsys.readouterr().err
-        assert "baseline" in err
+        assert "--trace/--metrics-url" in err
