@@ -31,6 +31,7 @@ import numpy as np
 from ..circuit.builder import CircuitBuilder
 from ..circuit.netlist import Circuit
 from ..errors import ConvergenceError, SimulationError
+from ..kb.trace import DesignTrace
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..simulator.ac import ac_analysis, log_frequencies
@@ -95,39 +96,39 @@ def offset_nulled_bias(
 ) -> BiasPoint:
     """Bisect ``centre`` +- 0.3 V of differential input for the one
     that centres the output at 0 V; ``vth_shifts`` perturbs thresholds
-    (the Monte Carlo mismatch hook).  Every solve shares one system.
+    (the Monte Carlo mismatch hook).  Every solve shares one system, and
+    the last bisection step's solve is the returned operating point.
     Raises SimulationError when the output does not cross 0 V in that
     window (amp broken or railed)."""
     circuit = _open_loop_testbench(amp)
     system = MnaSystem(circuit, amp.process, vth_shifts=vth_shifts)
 
-    def output_at(vin: float) -> float:
-        op = operating_point(system, amp.process, source_values={"vin": vin})
-        return op.voltage("out")
+    def solve(vin: float, trace: Optional[DesignTrace] = None):
+        return operating_point(
+            system, amp.process, trace=trace, source_values={"vin": vin}
+        )
 
     lo, hi = centre - 0.3, centre + 0.3
-    v_lo, v_hi = output_at(lo), output_at(hi)
+    v_lo, v_hi = solve(lo).voltage("out"), solve(hi).voltage("out")
     if v_lo > 0 or v_hi < 0:
         raise SimulationError(
             f"output does not cross 0 V within {lo:+.3f} .. {hi:+.3f} V "
             f"differential input (got {v_lo:.2f} V .. {v_hi:.2f} V); "
             f"amplifier polarity or bias is broken"
         )
-    mid = centre
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        v_mid = output_at(mid)
+        # Only the returned step's ladder history joins the amp's trace.
+        trace = DesignTrace()
+        op = solve(mid, trace)
+        v_mid = op.voltage("out")
         if abs(v_mid) < 1e-3:
             break
         if v_mid > 0:
             hi = mid
         else:
             lo = mid
-    # Thread the amp's design trace through, so a solve that needed the
-    # retry ladder leaves its escalation history next to the plan events.
-    op = operating_point(
-        system, amp.process, trace=amp.trace, source_values={"vin": mid}
-    )
+    amp.trace.extend(trace)
     return BiasPoint(mid, circuit, op)
 
 

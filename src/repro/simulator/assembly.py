@@ -45,8 +45,8 @@ def solve_linear(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     A ``(B, n, n)`` stack with ``(B, n)`` right-hand sides solves as one
     call (one LU per member).  A singular matrix raises
-    :class:`numpy.linalg.LinAlgError`, the one failure callers --
-    ``newton_solve``, the transient integrator -- catch.
+    :class:`numpy.linalg.LinAlgError`, the one failure its caller,
+    ``newton_batch``, catches.
     """
     if jacobian.ndim == 3:
         return np.linalg.solve(jacobian, rhs[..., None])[..., 0]
@@ -108,7 +108,7 @@ class StampPlan:
 
     Index arrays are built once in ``__init__`` by walking the elements
     in stamp order; numeric assemblies then only touch NumPy (and read
-    the system's current source values).  The AC
+    the system's current source values and capacitor companions).  The AC
     layout is built lazily on first AC assembly (DC solves never need
     it).
     """
@@ -226,7 +226,9 @@ class StampPlan:
         self.j_total = j_rows.size
         self.jp_gmin = np.flatnonzero(j_groups == _JG_GMIN)
         self.jp_res = np.flatnonzero(j_groups == _JG_RES)
-        self.jp_mos = np.flatnonzero(j_groups == _JG_MOS)
+        # A group whose devices each record k consecutive entries keeps
+        # its positions as (k, devices), filled from a tuple of k arrays.
+        self.jp_mos = np.flatnonzero(j_groups == _JG_MOS).reshape(-1, 8).T
         self.jp_vs = np.flatnonzero(j_groups == _JG_VS)
         j_mask = (j_rows >= 0) & (j_cols >= 0)
         self.j_mask = j_mask
@@ -236,15 +238,17 @@ class StampPlan:
         f_rows, _f_cols, f_groups = res.finish()
         self.f_total = f_rows.size
         self.fp_gmin = np.flatnonzero(f_groups == _FG_GMIN)
-        self.fp_res = np.flatnonzero(f_groups == _FG_RES)
-        self.fp_isrc = np.flatnonzero(f_groups == _FG_ISRC)
-        self.fp_mos = np.flatnonzero(f_groups == _FG_MOS)
-        self.fp_vs = np.flatnonzero(f_groups == _FG_VS)
+        self.fp_res = np.flatnonzero(f_groups == _FG_RES).reshape(-1, 2).T
+        self.fp_isrc = np.flatnonzero(f_groups == _FG_ISRC).reshape(-1, 2).T
+        self.fp_mos = np.flatnonzero(f_groups == _FG_MOS).reshape(-1, 2).T
+        self.fp_vs = np.flatnonzero(f_groups == _FG_VS).reshape(-1, 2).T
         f_mask = f_rows >= 0
         self.f_mask = f_mask
         self.f_rows_valid = f_rows[f_mask]
 
         self._ac_ready = False
+        self._devices_at: Optional[bytes] = None
+        self._devices: Tuple = ()  # the last _evaluate_mosfets result
 
     # ------------------------------------------------------------------
     # DC assembly
@@ -260,15 +264,18 @@ class StampPlan:
     ]:
         """Per-device model evaluation (kept scalar for bit-identity
         with the element-by-element stamper), results collected into
-        arrays."""
+        arrays.  The last evaluation is kept, keyed by the bytes of
+        ``x``: a solve that starts where the last one converged (the
+        next timestep, sweep point or homotopy level) reuses it."""
+        at = x.tobytes()
+        if at == self._devices_at:
+            return self._devices
         ops: Dict[str, "MosfetOperatingPoint"] = {}
         count = len(self.mos_bind)
         ids = np.empty(count)
         gm = np.empty(count)
         gds = np.empty(count)
         gmbs = np.empty(count)
-        if not count:
-            return ops, ids, gm, gds, gmbs
         vd = self.mos_vd(x)
         vg = self.mos_vg(x)
         vs = self.mos_vs(x)
@@ -283,7 +290,8 @@ class StampPlan:
             gm[i] = op.gm
             gds[i] = op.gds
             gmbs[i] = op.gmbs
-        return ops, ids, gm, gds, gmbs
+        self._devices_at, self._devices = at, (ops, ids, gm, gds, gmbs)
+        return self._devices
 
     def _dc_entry_values(
         self,
@@ -299,21 +307,19 @@ class StampPlan:
         f_vals = np.empty(self.f_total)
         f_vals[self.fp_gmin] = gmin * x[: self.n_nodes]
         gv = self.res_g * (self.res_va(x) - self.res_vb(x))
-        f_vals[self.fp_res] = np.column_stack((gv, -gv)).ravel()
+        f_vals[self.fp_res] = (gv, -gv)
         inj = self.system.isource_values * source_scale
-        f_vals[self.fp_isrc] = np.column_stack((inj, -inj)).ravel()
-        f_vals[self.fp_mos] = np.column_stack((ids, -ids)).ravel()
+        f_vals[self.fp_isrc] = (inj, -inj)
+        f_vals[self.fp_mos] = (ids, -ids)
         i_branch = x[self.vs_rows]
-        f_vals[self.fp_vs] = np.column_stack((i_branch, -i_branch)).ravel()
+        f_vals[self.fp_vs] = (i_branch, -i_branch)
         if not with_jacobian:
             return f_vals, None, ops
         j_vals = np.empty(self.j_total)
         j_vals[self.jp_gmin] = gmin
         j_vals[self.jp_res] = self.res_j_static
         g_s = -(gm + gds + gmbs)
-        j_vals[self.jp_mos] = np.column_stack(
-            (gm, gds, gmbs, g_s, -gm, -gds, -gmbs, -g_s)
-        ).ravel()
+        j_vals[self.jp_mos] = (gm, gds, gmbs, g_s, -gm, -gds, -gmbs, -g_s)
         j_vals[self.jp_vs] = self.vs_j_static
         return f_vals, j_vals, ops
 
@@ -343,7 +349,10 @@ class StampPlan:
             (self.j_rows_valid, self.j_cols_valid),
             j_vals[self.j_mask],
         )
-        return self._residual_from(f_vals, x, source_scale), jacobian, ops
+        residual = self._residual_from(f_vals, x, source_scale)
+        if self.system.companions is not None:
+            self.system.companions.stamp(residual, jacobian, x)
+        return residual, jacobian, ops
 
     def assemble_dc_residual(
         self, x: np.ndarray, gmin: float, source_scale: float
@@ -352,7 +361,10 @@ class StampPlan:
         f_vals, _, ops = self._dc_entry_values(
             x, gmin, source_scale, with_jacobian=False
         )
-        return self._residual_from(f_vals, x, source_scale), ops
+        residual = self._residual_from(f_vals, x, source_scale)
+        if self.system.companions is not None:
+            self.system.companions.stamp(residual, None, x)
+        return residual, ops
 
     # ------------------------------------------------------------------
     # AC assembly

@@ -23,12 +23,15 @@ terminal :class:`~repro.errors.ConvergenceError` carries the
 escalation history can be recorded into a
 :class:`~repro.kb.trace.DesignTrace`.
 
-The Newton iteration itself (:func:`newton_batch`) runs over a batch of
-systems -- one circuit on several process corners solves as one batch
-(:func:`stacked_operating_points`), a single solve is a batch of one.
+The Newton iteration itself (:func:`newton_batch`) is the simulator's
+one Newton loop.  It runs over a batch of systems -- one circuit on
+several process corners solves as one batch
+(:func:`stacked_operating_points`), a single solve is a batch of one
+(:func:`newton_solve`), and so is a transient timestep.
 
-All MOSFET evaluations flow through :meth:`MnaSystem.assemble_dc_system`,
-so the solver is model-agnostic.  The solver cooperates with the
+All MOSFET evaluations flow through :meth:`MnaSystem.assemble_dc_system`
+and :meth:`MnaSystem.assemble_dc_residual`, so the solver is
+model-agnostic.  The solver cooperates with the
 resilience layer: an ambient :class:`~repro.resilience.Budget` is
 charged per Newton iteration, and the ``dc.newton`` /
 ``dc.newton.nan`` fault points make every escalation path exercisable
@@ -125,6 +128,13 @@ def newton_batch(
     trajectory it would take alone.  A batch of one is
     :func:`newton_solve`.
 
+    Each iterate x_k is assembled once.  Step k converges when its
+    voltage move is within ``VTOL + RELTOL*|x|`` and the KCL residual at
+    x_k within ``ITOL``.  A step that passes the voltage test is
+    confirmed by :meth:`MnaSystem.assemble_dc_residual` alone; any
+    other step is judged by the residual of the full assembly of x_k,
+    whose Jacobian then takes step k+1.
+
     Args:
         systems: one or more systems of equal size (e.g. one circuit on
             several process corners).
@@ -134,10 +144,10 @@ def newton_batch(
             iterations of growing residual norm (None = never; used by
             the cheap plain rung so divergence fails fast).
         budget: explicit iteration/wall budget, charged one iteration
-            per active member; when None the ambient budget installed
-            by :meth:`repro.resilience.Budget.active` is charged
-            instead, so a synthesis-level deadline reaches this inner
-            loop without parameter threading.
+            per active member before its step; when None the ambient
+            budget installed by :meth:`repro.resilience.Budget.active`
+            is charged instead, so a synthesis-level deadline reaches
+            this inner loop without parameter threading.
         block: context for budget errors.
 
     Returns:
@@ -157,28 +167,63 @@ def newton_batch(
     n_nodes = systems[0].n_nodes
     xs = [x0.copy() for x0 in x0s]
     outcomes: List[Optional[NewtonOutcome]] = [None] * len(systems)
+    # Full assembly (residual, Jacobian, device ops) of each member's x.
+    assembled: List[Any] = [None] * len(systems)
+    # Members whose last step failed the voltage test and still owes the
+    # divergence streak the residual at the point it reached.
+    unjudged = [False] * len(systems)
     growth_streaks = [0] * len(systems)
     last_norms = [np.inf] * len(systems)
+
+    def judge(i: int, residual: np.ndarray, device_ops, v_ok: bool, step: int) -> None:
+        """Settle member ``i``'s ``step`` from the residual at its new x."""
+        if v_ok and (np.abs(residual[:n_nodes]) <= ITOL * 10 + 1e-9).all():
+            outcomes[i] = _Solved(xs[i], device_ops, step)
+            return
+        if diverge_after is None:
+            return
+        norm = float(np.max(np.abs(residual[:n_nodes]))) if n_nodes else 0.0
+        if not np.isfinite(norm) or norm > last_norms[i]:
+            growth_streaks[i] += 1
+            if growth_streaks[i] >= diverge_after:
+                outcomes[i] = ConvergenceError(
+                    f"diverging: residual grew "
+                    f"{growth_streaks[i]} iterations in a row",
+                    step,
+                )
+        else:
+            growth_streaks[i] = 0
+        if np.isfinite(norm):
+            last_norms[i] = norm
+
     active = list(range(len(systems)))
-    for iteration in range(1, max_iterations + 1):
-        if not active:
-            break
-        if budget is not None:
-            budget.charge_newton(len(active), block=block, step="newton")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            assembled = [
-                systems[i].assemble_dc_system(xs[i], gmin, source_scale)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iteration in range(1, max_iterations + 1):
+            for i in active:
+                if unjudged[i]:
+                    unjudged[i] = False
+                    assembled[i] = systems[i].assemble_dc_system(
+                        xs[i], gmin, source_scale
+                    )
+                    judge(i, assembled[i][0], None, False, iteration - 1)
+            active = [i for i in active if outcomes[i] is None]
+            if not active:
+                break
+            if budget is not None:
+                budget.charge_newton(len(active), block=block, step="newton")
+            batch = [
+                assembled[i]
+                or systems[i].assemble_dc_system(xs[i], gmin, source_scale)
                 for i in active
             ]
             deltas = _newton_updates(
-                [jacobian for _, jacobian, _ in assembled],
-                [-residual for residual, _, _ in assembled],
+                [jacobian for _, jacobian, _ in batch],
+                [-residual for residual, _, _ in batch],
             )
             poisoned = (
                 any(not isinstance(d, np.linalg.LinAlgError) for d in deltas)
                 and fault_point("dc.newton.nan") is not None
             )
-            still_active = []
             for i, delta in zip(active, deltas):
                 if isinstance(delta, np.linalg.LinAlgError):
                     failure = ConvergenceError(
@@ -189,55 +234,33 @@ def newton_batch(
                     continue
                 if poisoned:
                     delta = delta * np.nan
-                if not np.all(np.isfinite(delta)):
+                if not np.isfinite(delta).all():
                     outcomes[i] = ConvergenceError(
                         "non-finite Newton update", iteration
                     )
                     continue
 
                 # Damp: limit the largest voltage move per iteration.
-                worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
+                worst = np.abs(delta[:n_nodes]).max() if n_nodes else 0.0
                 if max_step is not None and worst > max_step:
                     delta = delta * (max_step / worst)
                 x = xs[i] = xs[i] + delta
-
-                v_converged = np.all(
-                    np.abs(delta[:n_nodes])
-                    <= VTOL + RELTOL * np.abs(x[:n_nodes])
+                assembled[i] = None
+                v_ok = bool(
+                    (
+                        np.abs(delta[:n_nodes])
+                        <= VTOL + RELTOL * np.abs(x[:n_nodes])
+                    ).all()
                 )
-                # Residual check on the freshly updated point (no
-                # Jacobian work: only the residual entries are evaluated).
-                residual_new, device_ops = systems[i].assemble_dc_residual(
-                    x, gmin, source_scale
-                )
-                kcl_converged = np.all(
-                    np.abs(residual_new[:n_nodes]) <= ITOL * 10 + 1e-9
-                )
-                if v_converged and kcl_converged:
-                    outcomes[i] = _Solved(x, device_ops, iteration)
-                    continue
-
-                if diverge_after is not None:
-                    norm = (
-                        float(np.max(np.abs(residual_new[:n_nodes])))
-                        if n_nodes
-                        else 0.0
+                final = iteration == max_iterations
+                if v_ok or (final and diverge_after is not None):
+                    residual, device_ops = systems[i].assemble_dc_residual(
+                        x, gmin, source_scale
                     )
-                    if not np.isfinite(norm) or norm > last_norms[i]:
-                        growth_streaks[i] += 1
-                        if growth_streaks[i] >= diverge_after:
-                            outcomes[i] = ConvergenceError(
-                                f"diverging: residual grew "
-                                f"{growth_streaks[i]} iterations in a row",
-                                iteration,
-                            )
-                            continue
-                    else:
-                        growth_streaks[i] = 0
-                    if np.isfinite(norm):
-                        last_norms[i] = norm
-                still_active.append(i)
-            active = still_active
+                    judge(i, residual, device_ops, v_ok, iteration)
+                else:
+                    unjudged[i] = diverge_after is not None
+            active = [i for i in active if outcomes[i] is None]
     for i in active:
         outcomes[i] = ConvergenceError(
             f"no convergence in {max_iterations} NR iterations "

@@ -6,14 +6,14 @@ netlist.Circuit` to a :class:`~repro.process.parameters.ProcessParameters`
 (creating one :class:`~repro.devices.mosfet.MosfetModel` per transistor)
 and provides the residual/Jacobian assembly used by the DC solver and the
 frequency-grid solve used by the AC, noise and mismatch analyses.
-Source values are solve inputs (:meth:`MnaSystem.set_source_values`),
-so a loop that varies a source builds its system once.
+Source values and a transient timestep's capacitor companions are
+solve inputs, so a loop that varies them builds its system once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -111,6 +111,8 @@ class MnaSystem:
             e for e in circuit.elements if isinstance(e, CurrentSource)
         ]
         self.set_source_values()
+        #: A transient timestep's capacitor companions; None: open, as at DC.
+        self.companions: Any = None
         self.n_nodes = len(self.nodes)
         self.size = self.n_nodes + len(self.vsources)
         shifts = {k.lower(): v for k, v in (vth_shifts or {}).items()}
@@ -178,6 +180,7 @@ class MnaSystem:
         *leaving* the node through elements minus injected source
         currents; voltage source rows hold ``V(p) - V(n)`` minus the
         source's value, as last set by :meth:`set_source_values`.
+        Capacitors carry the currents of :attr:`companions`.
 
         Args:
             x: current unknown vector.
@@ -193,8 +196,9 @@ class MnaSystem:
         gmin: float = 1e-12,
         source_scale: float = 1.0,
     ) -> Tuple[np.ndarray, Dict[str, MosfetOperatingPoint]]:
-        """Residual and device ops only (no Jacobian work) -- the
-        post-update convergence check of the Newton loop."""
+        """Residual and device ops only (no Jacobian work): how the
+        Newton loop confirms a step that already passes its voltage
+        test."""
         return self.stamp_plan.assemble_dc_residual(x, gmin, source_scale)
 
     # ------------------------------------------------------------------

@@ -6,17 +6,19 @@ paper's SPICE transient runs.
 
 Capacitors (explicit elements and the MOSFET intrinsic/junction
 capacitances evaluated quasi-statically at each accepted timepoint) are
-replaced by their trapezoidal companion models.
+replaced by their trapezoidal companion models, held in one
+:class:`_CompanionBank`.
 
 Independent sources may be driven by waveforms via ``stimuli`` (source
-name -> ``f(t)``): the t=0 operating point and every timestep solve one
-:class:`~repro.simulator.mna.MnaSystem` with the stimuli at that time as
-its source values.  Each timestep is solved by its own damped NR
-(``_solve_timestep``), with no retry ladder and a convergence test 100x
-looser (``100 * VTOL``) than the DC solver's: on
-:func:`~repro.simulator.dc.newton_batch` slew moved under 4e-11 relative
-but the transient took 1.5-2x as long, because each of its iterates
-assembles twice (the Jacobian system, then a residual-only check).
+name -> ``f(t)``).  The t=0 operating point and every timestep solve
+one :class:`~repro.simulator.mna.MnaSystem`.  A timestep sets the
+stimuli at its end time as the system's source values and the bank as
+its companions, then runs :func:`~repro.simulator.dc.newton_solve`: the
+DC solver's damped Newton loop and convergence test, without the retry
+ladder.  So every timestep charges the ambient
+:class:`~repro.resilience.Budget` and passes the ``dc.newton`` /
+``dc.newton.nan`` fault points, and a step that fails raises a
+:class:`~repro.errors.ConvergenceError` naming its time.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from ..errors import ConvergenceError, SimulationError
 from ..obs.spans import count as metric_count
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from .assembly import _NodeGather, solve_linear
-from .dc import MAX_STEP, RELTOL, VTOL, operating_point
-from .mna import MnaSystem
+from .assembly import _NodeGather
+from .dc import newton_solve, operating_point
+from .mna import MnaSystem, MosfetOperatingPoint
 
 __all__ = ["TransientResult", "transient_analysis", "step_waveform"]
 
@@ -78,36 +80,51 @@ def step_waveform(
 class _CompanionBank:
     """Struct-of-arrays trapezoidal companion state for all capacitor
     branches at once (explicit caps first, then the five MOSFET cap
-    branches per device)."""
+    branches per device), from the state ``x`` and its ``device_ops``.
+    ``h`` is the length of the step being solved."""
 
     def __init__(
-        self, node_a: List[int], node_b: List[int], caps: List[float]
+        self,
+        system: MnaSystem,
+        device_ops: Dict[str, MosfetOperatingPoint],
+        x: np.ndarray,
     ):
+        node_a: List[int] = []
+        node_b: List[int] = []
+        caps: List[float] = []
+        for cap in system.circuit.capacitors:
+            node_a.append(system.index_of(cap.node_a))
+            node_b.append(system.index_of(cap.node_b))
+            caps.append(cap.capacitance)
+        self.explicit = len(caps)
+        self.device_branches = _device_cap_branches(system)
+        for name, a, b, kind in self.device_branches:
+            node_a.append(a)
+            node_b.append(b)
+            caps.append(getattr(device_ops[name], kind))
         self.node_a = np.asarray(node_a, dtype=np.intp)
         self.node_b = np.asarray(node_b, dtype=np.intp)
         self.va = _NodeGather(node_a)
         self.vb = _NodeGather(node_b)
         self.cap = np.asarray(caps, dtype=float)
-        self.v_prev = np.zeros(self.cap.size)
+        self.v_prev = self.branch_voltages(x)
         self.i_prev = np.zeros(self.cap.size)
+        self.h = 0.0
 
     def branch_voltages(self, x: np.ndarray) -> np.ndarray:
         return self.va(x) - self.vb(x)
 
     def stamp(
-        self,
-        residual: np.ndarray,
-        jacobian: np.ndarray,
-        x: np.ndarray,
-        h: float,
+        self, residual: np.ndarray, jacobian: Optional[np.ndarray], x: np.ndarray
     ) -> None:
-        """Companion stamps for every live (C > 0) branch."""
+        """Companion stamps for every live (C > 0) branch; the Jacobian
+        is skipped when None."""
         live = np.flatnonzero(self.cap > 0.0)
         if not live.size:
             return
         a = self.node_a[live]
         b = self.node_b[live]
-        geq = 2.0 * self.cap[live] / h
+        geq = 2.0 * self.cap[live] / self.h
         ieq = geq * self.v_prev[live] + self.i_prev[live]
         current = geq * self.branch_voltages(x)[live] - ieq
         a_live = a >= 0
@@ -115,17 +132,24 @@ class _CompanionBank:
         both = a_live & b_live
         np.add.at(residual, a[a_live], current[a_live])
         np.add.at(residual, b[b_live], -current[b_live])
+        if jacobian is None:
+            return
         np.add.at(jacobian, (a[a_live], a[a_live]), geq[a_live])
         np.add.at(jacobian, (b[b_live], b[b_live]), geq[b_live])
         np.add.at(jacobian, (a[both], b[both]), -geq[both])
         np.add.at(jacobian, (b[both], a[both]), -geq[both])
 
-    def accept(self, x_next: np.ndarray, h: float) -> None:
-        """Trapezoidal history update after a converged timestep."""
+    def accept(
+        self, x_next: np.ndarray, device_ops: Dict[str, MosfetOperatingPoint]
+    ) -> None:
+        """Trapezoidal history update after a converged timestep; the
+        device capacitances follow its operating point quasi-statically."""
         v_new = self.branch_voltages(x_next)
-        geq = 2.0 * self.cap / h
+        geq = 2.0 * self.cap / self.h
         self.i_prev = geq * (v_new - self.v_prev) - self.i_prev
         self.v_prev = v_new
+        for i, (name, _a, _b, kind) in enumerate(self.device_branches):
+            self.cap[self.explicit + i] = getattr(device_ops[name], kind)
 
 
 def _device_cap_branches(system: MnaSystem) -> List[Tuple[str, int, int, str]]:
@@ -179,6 +203,9 @@ def transient_analysis(
 
     Raises:
         SimulationError: bad time range, or a stimulus names no source.
+        ConvergenceError: the t=0 operating point or a timestep (named
+            by its time ``t``) does not converge.
+        BudgetExceeded: when the ambient budget trips mid-run.
     """
     if strict:
         from ..lint import assert_erc_clean  # local: avoid import cycle
@@ -200,10 +227,28 @@ def transient_analysis(
     for pos, source in enumerate(system.vsources):
         x[system.branch_index(pos)] = op0.source_currents[source.name.lower()]
 
+    bank = _CompanionBank(system, op0.device_ops, x)
+    system.companions = bank
+    times = [0.0]
+    history = [x]
     with obs_span(f"transient:{circuit.name}", category="sim") as tran_span:
-        times, history = _integrate(
-            system, x, op0, t_stop, t_step, stimuli, max_iterations
-        )
+        t = 0.0
+        while t < t_stop - 1e-15:
+            bank.h = min(t_step, t_stop - t)
+            t += bank.h
+            system.set_source_values({k: f(t) for k, f in stimuli.items()})
+            try:
+                x, device_ops, _ = newton_solve(
+                    system, x, 1e-12, 1.0, max_iterations,
+                    block=f"transient/{circuit.name}",
+                )
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"transient step failed at t={t:g}: {exc}", exc.iterations
+                ) from exc
+            bank.accept(x, device_ops)
+            times.append(t)
+            history.append(x)
         tran_span.set("timesteps", len(times) - 1)
         metric_count("transient.analyses")
         metric_count("transient.timesteps", n=len(times) - 1)
@@ -213,89 +258,3 @@ def transient_analysis(
         node: stacked[:, index] for node, index in system.node_index.items()
     }
     return TransientResult(times=np.asarray(times), waveforms=waveforms)
-
-
-def _integrate(
-    system: MnaSystem,
-    x: np.ndarray,
-    op0,
-    t_stop: float,
-    t_step: float,
-    stimuli: Dict[str, Callable[[float], float]],
-    max_iterations: int,
-):
-    """Fixed-step integration from the initial state ``x``: one
-    :class:`_CompanionBank` holds every capacitor branch, companion
-    stamps/updates are whole-bank array operations.  Each step drives
-    the sources at its end time.
-    Returns (times, per-step unknown vectors)."""
-    node_a: List[int] = []
-    node_b: List[int] = []
-    caps: List[float] = []
-    for cap in system.circuit.capacitors:
-        node_a.append(system.index_of(cap.node_a))
-        node_b.append(system.index_of(cap.node_b))
-        caps.append(cap.capacitance)
-    explicit_count = len(caps)
-    device_branches = _device_cap_branches(system)
-    for name, a, b, kind in device_branches:
-        node_a.append(a)
-        node_b.append(b)
-        caps.append(getattr(op0.device_ops[name], kind))
-    bank = _CompanionBank(node_a, node_b, caps)
-    bank.v_prev = bank.branch_voltages(x)
-
-    times = [0.0]
-    history = [x.copy()]
-
-    t = 0.0
-    while t < t_stop - 1e-15:
-        h = min(t_step, t_stop - t)
-        t_next = t + h
-        system.set_source_values({k: f(t_next) for k, f in stimuli.items()})
-        x_next, device_ops = _solve_timestep(
-            system, x, t_next, h, bank, max_iterations
-        )
-        bank.accept(x_next, h)
-        # Refresh device capacitance values quasi-statically.
-        for i, (name, _a, _b, kind) in enumerate(device_branches):
-            bank.cap[explicit_count + i] = getattr(device_ops[name], kind)
-        x = x_next
-        t = t_next
-        times.append(t)
-        history.append(x.copy())
-    return times, history
-
-
-def _solve_timestep(
-    system: MnaSystem,
-    x_prev: np.ndarray,
-    t: float,
-    h: float,
-    bank: _CompanionBank,
-    max_iterations: int,
-):
-    """Damped NR for one trapezoidal timestep over the companion bank, at
-    the source values set on ``system``."""
-    x = x_prev.copy()
-    n_nodes = system.n_nodes
-    plan = system.stamp_plan
-    for iteration in range(1, max_iterations + 1):
-        residual, jacobian, device_ops = plan.assemble_dc_dense(x, 1e-12, 1.0)
-        bank.stamp(residual, jacobian, x, h)
-        try:
-            delta = solve_linear(jacobian, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"transient singular Jacobian at t={t:g}: {exc}", iteration
-            ) from exc
-        worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
-        if worst > MAX_STEP:
-            delta = delta * (MAX_STEP / worst)
-        x = x + delta
-        if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
-            return x, device_ops
-    raise ConvergenceError(
-        f"transient NR failed at t={t:g} ({max_iterations} iterations)",
-        max_iterations,
-    )

@@ -3,16 +3,19 @@
 The production simulator has one numeric path per analysis: the
 :class:`~repro.simulator.assembly.StampPlan` scatter for DC and AC
 assembly, one stacked small-signal solve for AC, noise and mismatch,
-and the companion-bank transient integrator.  This module keeps the obvious element-by-element versions
-of the same computations -- the *specification* the plan replays --
+and the companion-bank stamps of a transient timestep.  This module
+keeps the obvious element-by-element versions of the same
+computations -- the *specification* the plan replays --
 so the differential suites can pit the two against each other:
 
 * :func:`assemble_dc_reference` / :func:`assemble_ac_reference` walk
   ``circuit.elements`` one device at a time and stamp through closures;
 * :func:`solve_ac_reference` assembles and solves one frequency at a
   time;
-* :func:`integrate_reference` runs the trapezoidal transient with one
-  companion object per capacitor branch and a scalar Newton loop.
+* :class:`CompanionBankReference` stamps the transient's trapezoidal
+  companions with one object per capacitor branch.  A timestep is a
+  DC Newton solve with those stamps, so the reference needs no loop of
+  its own: it swaps the stamping in and the production loop runs it.
 
 :func:`reference_backend` swaps all of them into the live simulator at
 once, so a whole pipeline -- ``operating_point``,
@@ -25,7 +28,7 @@ library code; pytest tests use the ``monkeypatch`` form,
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -37,16 +40,15 @@ from repro.circuit.elements import (
     VoltageSource,
 )
 from repro.devices.mosfet import MosfetOperatingPoint
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.simulator import transient as transient_module
-from repro.simulator.dc import MAX_STEP, RELTOL, VTOL
 from repro.simulator.mna import MnaSystem
 
 __all__ = [
     "assemble_dc_reference",
     "assemble_ac_reference",
     "solve_ac_reference",
-    "integrate_reference",
+    "CompanionBankReference",
     "reference_backend",
     "patch_reference_backend",
 ]
@@ -157,6 +159,8 @@ def assemble_dc_reference(
         add_j(row, p, 1.0)
         add_j(row, n, -1.0)
 
+    if system.companions is not None:
+        system.companions.stamp(residual, jacobian, x)
     return residual, jacobian, device_ops
 
 
@@ -299,103 +303,69 @@ class _CapState:
         return va - vb
 
 
-def integrate_reference(
-    system: MnaSystem,
-    x: np.ndarray,
-    op0,
-    t_stop: float,
-    t_step: float,
-    stimuli: Dict[str, Callable[[float], float]],
-    max_iterations: int,
-):
-    """The transient integration loop with one :class:`_CapState` per
-    capacitor branch (same contract as the production ``_integrate``)."""
-    explicit_states: List[_CapState] = []
-    for cap in system.circuit.capacitors:
-        state = _CapState(
-            system.index_of(cap.node_a), system.index_of(cap.node_b), cap.capacitance
-        )
-        state.v_prev = state.voltage(x)
-        explicit_states.append(state)
+class CompanionBankReference:
+    """The transient's capacitor companion bank (same contract as the
+    production ``_CompanionBank``) with one :class:`_CapState` per
+    branch, stamped and updated one branch at a time."""
 
-    device_branches = transient_module._device_cap_branches(system)
-    device_states: List[_CapState] = []
-    for name, a, b, kind in device_branches:
-        state = _CapState(a, b, getattr(op0.device_ops[name], kind))
-        state.v_prev = state.voltage(x)
-        device_states.append(state)
+    def __init__(
+        self,
+        system: MnaSystem,
+        device_ops: Dict[str, MosfetOperatingPoint],
+        x: np.ndarray,
+    ):
+        self.states = [
+            _CapState(
+                system.index_of(cap.node_a),
+                system.index_of(cap.node_b),
+                cap.capacitance,
+            )
+            for cap in system.circuit.capacitors
+        ]
+        self.device_states = []
+        for name, a, b, kind in transient_module._device_cap_branches(system):
+            state = _CapState(a, b, getattr(device_ops[name], kind))
+            self.device_states.append((state, name, kind))
+            self.states.append(state)
+        for state in self.states:
+            state.v_prev = state.voltage(x)
+        self.h = 0.0
 
-    times = [0.0]
-    history = [x.copy()]
-    t = 0.0
-    while t < t_stop - 1e-15:
-        h = min(t_step, t_stop - t)
-        t_next = t + h
-        system.set_source_values({k: f(t_next) for k, f in stimuli.items()})
-        x_next, device_ops = _solve_timestep_reference(
-            system, x, t_next, h, explicit_states + device_states, max_iterations
-        )
-        for state in explicit_states + device_states:
-            v_new = state.voltage(x_next)
-            geq = 2.0 * state.capacitance / h
-            state.i_prev = geq * (v_new - state.v_prev) - state.i_prev
-            state.v_prev = v_new
-        # Device capacitances follow the new operating point.
-        for state, (name, _a, _b, kind) in zip(device_states, device_branches):
-            state.capacitance = getattr(device_ops[name], kind)
-        x = x_next
-        t = t_next
-        times.append(t)
-        history.append(x.copy())
-    return times, history
-
-
-def _solve_timestep_reference(
-    system: MnaSystem,
-    x_prev: np.ndarray,
-    t: float,
-    h: float,
-    states: List[_CapState],
-    max_iterations: int,
-):
-    """Damped NR for one trapezoidal timestep, stamp by stamp, at the
-    source values set on ``system``."""
-    x = x_prev.copy()
-    n_nodes = system.n_nodes
-    for iteration in range(1, max_iterations + 1):
-        residual, jacobian, device_ops = assemble_dc_reference(system, x, 1e-12, 1.0)
-        for state in states:
+    def stamp(
+        self, residual: np.ndarray, jacobian: Optional[np.ndarray], x: np.ndarray
+    ) -> None:
+        for state in self.states:
             if state.capacitance <= 0:
                 continue
-            geq = 2.0 * state.capacitance / h
+            geq = 2.0 * state.capacitance / self.h
             current = geq * state.voltage(x) - (geq * state.v_prev + state.i_prev)
             a, b = state.node_a, state.node_b
             if a >= 0:
                 residual[a] += current
+            if b >= 0:
+                residual[b] -= current
+            if jacobian is None:
+                continue
+            if a >= 0:
                 jacobian[a, a] += geq
                 if b >= 0:
                     jacobian[a, b] -= geq
             if b >= 0:
-                residual[b] -= current
                 jacobian[b, b] += geq
                 if a >= 0:
                     jacobian[b, a] -= geq
-        try:
-            delta = np.linalg.solve(jacobian, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"transient singular Jacobian at t={t:g}: {exc}", iteration
-            ) from exc
-        worst = np.max(np.abs(delta[:n_nodes])) if n_nodes else 0.0
-        if worst > MAX_STEP:
-            delta = delta * (MAX_STEP / worst)
-        x = x + delta
-        if np.all(np.abs(delta[:n_nodes]) <= VTOL * 100 + RELTOL * np.abs(x[:n_nodes])):
-            return x, device_ops
-    raise ConvergenceError(
-        f"transient NR failed at t={t:g} ({max_iterations} iterations)",
-        max_iterations,
-    )
+
+    def accept(
+        self, x_next: np.ndarray, device_ops: Dict[str, MosfetOperatingPoint]
+    ) -> None:
+        for state in self.states:
+            v_new = state.voltage(x_next)
+            geq = 2.0 * state.capacitance / self.h
+            state.i_prev = geq * (v_new - state.v_prev) - state.i_prev
+            state.v_prev = v_new
+        # Device capacitances follow the new operating point.
+        for state, name, kind in self.device_states:
+            state.capacitance = getattr(device_ops[name], kind)
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +377,7 @@ def _reference_patches():
         (MnaSystem, "assemble_dc_system", assemble_dc_reference),
         (MnaSystem, "assemble_dc_residual", _dc_residual_reference),
         (MnaSystem, "solve_ac", solve_ac_reference),
-        (transient_module, "_integrate", integrate_reference),
+        (transient_module, "_CompanionBank", CompanionBankReference),
     )
 
 

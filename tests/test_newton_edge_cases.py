@@ -23,22 +23,29 @@ from repro.simulator.mna import MnaSystem
 
 
 class _FakeSystem:
-    """Minimal stand-in for MnaSystem: scripted residual/Jacobian."""
+    """Minimal stand-in for MnaSystem: scripted residual/Jacobian, with
+    a count of each kind of assembly."""
 
     def __init__(self, assemble, n_nodes=2):
         self._assemble = assemble
         self.n_nodes = n_nodes
         self.size = n_nodes
-
-    def assemble_dc(self, x, gmin, source_scale):
-        return self._assemble(x, gmin, source_scale)
+        self.calls = {"system": 0, "residual": 0}
 
     def assemble_dc_system(self, x, gmin, source_scale):
+        self.calls["system"] += 1
         return self._assemble(x, gmin, source_scale)
 
     def assemble_dc_residual(self, x, gmin, source_scale):
+        self.calls["residual"] += 1
         residual, _, device_ops = self._assemble(x, gmin, source_scale)
         return residual, device_ops
+
+
+def _cube_root_of_8(x, gmin, scale):
+    """F = (x0**3 - 8, x1 - 1): converges in a handful of steps."""
+    residual = np.array([x[0] ** 3 - 8.0, x[1] - 1.0])
+    return residual, np.diag([3.0 * x[0] ** 2, 1.0]), {}
 
 
 class TestNewtonEdgeCases:
@@ -77,18 +84,43 @@ class TestNewtonEdgeCases:
             newton_solve(system, np.zeros(2), 1e-12, 1.0)
 
     def test_zero_iteration_budget_fails_immediately(self):
-        def assemble(x, gmin, scale):  # pragma: no cover - never called
-            raise AssertionError("assemble_dc must not run with 0 iterations")
-
-        system = _FakeSystem(assemble)
+        system = _FakeSystem(_cube_root_of_8)
         with pytest.raises(ConvergenceError, match="no convergence in 0"):
-            newton_solve(system, np.zeros(2), 1e-12, 1.0, max_iterations=0)
+            newton_solve(system, np.ones(2), 1e-12, 1.0, max_iterations=0)
+        assert system.calls == {"system": 0, "residual": 0}
 
     def test_zero_iteration_error_carries_zero_count(self):
         system = _FakeSystem(lambda x, g, s: (np.zeros(2), np.eye(2), {}))
         with pytest.raises(ConvergenceError) as excinfo:
             newton_solve(system, np.zeros(2), 1e-12, 1.0, max_iterations=0)
         assert excinfo.value.iterations == 0
+
+    @pytest.mark.parametrize("diverge_after", [None, 3])
+    def test_each_iterate_is_assembled_once(self, diverge_after):
+        """One full assembly per Newton iteration (its residual judges
+        the last step, its Jacobian takes the next) and one residual-only
+        check, for the step that converges."""
+        system = _FakeSystem(_cube_root_of_8)
+        budget = Budget(newton_iterations=100).start()
+        x, _, iterations = newton_solve(
+            system,
+            np.ones(2),
+            1e-12,
+            1.0,
+            max_step=None,
+            diverge_after=diverge_after,
+            budget=budget,
+        )
+        assert x[0] == pytest.approx(2.0) and iterations > 3
+        assert system.calls == {"system": iterations, "residual": 1}
+        assert budget.iterations_used == iterations
+
+    def test_tripped_budget_assembles_nothing(self):
+        system = _FakeSystem(_cube_root_of_8)
+        budget = Budget(newton_iterations=0).start()
+        with pytest.raises(BudgetExceeded):
+            newton_solve(system, np.ones(2), 1e-12, 1.0, budget=budget)
+        assert system.calls == {"system": 0, "residual": 0}
 
     def test_divergence_bail_is_early(self):
         """A residual that grows every iteration trips the streak bail."""

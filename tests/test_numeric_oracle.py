@@ -373,9 +373,7 @@ class TestAnalysisParity:
             )
         assert np.array_equal(reference.times, vectorized.times)
         for node, wave in reference.waveforms.items():
-            np.testing.assert_allclose(
-                vectorized.waveforms[node], wave, rtol=0.0, atol=1e-9
-            )
+            assert np.array_equal(vectorized.waveforms[node], wave)
 
 
 # ---------------------------------------------------------------------------

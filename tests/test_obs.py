@@ -14,7 +14,6 @@ from repro.kb.trace import DesignTrace
 from repro.obs import (
     NULL_SPAN,
     MetricsRegistry,
-    RunReport,
     Tracer,
     metric_key,
 )

@@ -12,19 +12,23 @@ import pytest
 from repro import CMOS_5UM, OpAmpSpec, synthesize, verify_opamp
 from repro.cache import ResultCache, cache_scope, canonical_json
 from repro.circuit.netlist import Circuit
-from repro.errors import SimulationError
+from repro.errors import ConvergenceError, SimulationError
+from repro.kb.trace import DesignTrace
 from repro.obs import Tracer
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import SPEC_A, SPEC_B, SPEC_C
 from repro.opamp.verify import (
+    _buffer_testbench,
     _open_loop_testbench,
     measure_rejection,
     offset_nulled_bias,
     open_loop_response,
 )
+from repro.resilience import inject
 from repro.simulator import MnaSystem, operating_point
 from repro.simulator.dc import _op_to_payload
 from repro.simulator.analysis import crossover_frequency
+from repro.simulator.transient import step_waveform, transient_analysis
 
 
 def easy_spec(**overrides):
@@ -148,13 +152,34 @@ class TestSharedBiasPoint:
     every small-signal measurement there."""
 
     def test_verify_searches_for_the_offset_once(self, amp_c):
-        # One bisection plus the traced solve at the offset it found;
-        # AC used to repeat the whole search.
+        # One bisection: the two window ends and 25 steps, the last of
+        # which is the bias point (it used to be solved again, and AC
+        # used to repeat the whole search).
         search = _dc_solves(lambda: offset_nulled_bias(amp_c))
         verify = _dc_solves(
             lambda: verify_opamp(amp_c, measure_swing=False, measure_slew=False)
         )
-        assert verify == search
+        assert verify == search == 27
+
+    def test_bias_point_keeps_its_own_ladder_history(self, amp_a):
+        """The returned step's escalation history reaches the amp's
+        trace; an earlier step's does not."""
+
+        def ladder_events(at_hit):
+            amp = dataclasses.replace(amp_a, trace=DesignTrace())
+            with inject("dc.newton", at_hit=at_hit) as injector:
+                bias = offset_nulled_bias(amp)
+            assert injector.fired
+            events = [e for e in amp.trace.events if e.kind == "ladder"]
+            return bias, [e.step for e in events]
+
+        with inject("dc.newton", at_hit=10**9) as counter:
+            clean = offset_nulled_bias(amp_a)
+        last = counter.hits["dc.newton"]  # one Newton run per clean solve
+        bias, rungs = ladder_events(at_hit=last)
+        assert rungs == ["damped", "gmin"]
+        assert bias.offset_v == clean.offset_v
+        assert ladder_events(at_hit=3)[1] == []
 
     def test_rejection_and_noise_reuse_the_bias_point(self, amp_a):
         def verify():
@@ -180,7 +205,7 @@ class TestOneBuildPerTestbench:
     """Each testbench is built and validated once; the loops that vary
     a source (offset search, swing sweep, transient) re-solve it."""
 
-    @pytest.mark.parametrize("case, solves", [("amp_a", 61), ("amp_c", 70)])
+    @pytest.mark.parametrize("case, solves", [("amp_a", 60), ("amp_c", 69)])
     def test_verify_builds_at_most_four_systems(
         self, request, monkeypatch, case, solves
     ):
@@ -225,6 +250,41 @@ class TestOneBuildPerTestbench:
         )
         assert again.total_power() == first.total_power()
         assert again.source_voltages["vin"] == 0.01
+
+
+class TestFaultedTimestep:
+    """A transient timestep is a DC Newton run: it passes the
+    ``dc.newton`` fault site, and a fault there fails the transient at
+    that step's time, which verify reports as a note."""
+
+    def test_transient_names_the_failed_step(self, amp_a):
+        t_step = 1e-8
+        circuit = _buffer_testbench(amp_a, "slew_tb")
+        stimuli = {"vin": step_waveform(-1.0, 1.0, t_step=2 * t_step)}
+        # Hit 1 is the t=0 operating point, hit 1 + k the k-th timestep.
+        with inject("dc.newton", at_hit=1 + 5) as injector:
+            with pytest.raises(ConvergenceError, match=f"t={5 * t_step:g}"):
+                transient_analysis(
+                    circuit, CMOS_5UM, t_stop=20 * t_step, t_step=t_step,
+                    stimuli=stimuli,
+                )
+        assert injector.fired == [("dc.newton", "raise")]
+
+    def test_verify_notes_the_failed_slew(self, amp_a):
+        with inject("dc.newton", at_hit=10**9) as counter:
+            clean = verify_opamp(amp_a)
+        # The slew transient's 600 timesteps are the last Newton runs.
+        with inject("dc.newton", at_hit=counter.hits["dc.newton"] - 300):
+            faulted = verify_opamp(amp_a)
+        note = faulted.notes["slew_rate"]
+        assert note.startswith("transient failed: transient step failed at t=")
+        slew_keys = ("slew_rate", "settling_time_1pct")
+        assert faulted.measured == {
+            k: v for k, v in clean.measured.items() if k not in slew_keys
+        }
+        assert {"offset_mv", "power", "gain_db", "output_swing"} <= set(
+            faulted.measured
+        )
 
 
 @pytest.fixture(scope="module")
