@@ -17,7 +17,14 @@ Quickstart::
                      output_swing=3.0)
     result = synthesize(spec, CMOS_5UM)
     print(result.summary())
+
+Importing the package loads synthesis only: the names that need the
+simulator (verification and the closed-loop application) load it on
+first use.
 """
+
+from importlib import import_module
+from typing import Any
 
 from .errors import (
     ConvergenceError,
@@ -60,16 +67,25 @@ from .opamp import (
     OPAMP_STYLES,
     DesignedOpAmp,
     SynthesisResult,
-    VerificationReport,
-    measure_rejection,
     synthesize,
-    verify_opamp,
 )
-from .applications import (
-    ClosedLoopSpec,
-    design_closed_loop_amp,
-    verify_closed_loop,
-)
+
+#: Exported name -> the module that defines it, imported on first use.
+_SIMULATING = {
+    "verify_opamp": ".opamp.verify",
+    "measure_rejection": ".opamp.verify",
+    "VerificationReport": ".opamp.verify",
+    "ClosedLoopSpec": ".applications.closed_loop",
+    "design_closed_loop_amp": ".applications.closed_loop",
+    "verify_closed_loop": ".applications.closed_loop",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SIMULATING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_SIMULATING[name], __name__), name)
+
 
 __all__ = [
     # errors

@@ -1,15 +1,18 @@
-"""Labeled bipartite device-net graph view and canonical ordering.
+"""Graph helpers: connected components and canonical ordering.
+
+:func:`connected_components` is the one graph search the lint passes
+need (ground reachability, DC paths, unrecognized device clusters).
 
 A :class:`~repro.circuit.netlist.Circuit` is structurally a bipartite
 graph: device vertices on one side, net vertices on the other, edges
 labeled with the terminal role (``d``/``g``/``s``/``b`` for MOSFETs,
 ``+``/``-`` for sources, an unordered ``t`` for two-terminal passives).
-This module materialises that view (:func:`device_net_graph`) and
-derives a *canonical ordering* of it (:func:`canonical_form`): a total
-order over devices and nets that depends only on circuit structure and
-element values -- never on the names chosen for devices or nets, nor on
-declaration order.  Two circuits that differ only by a relabeling
-produce byte-identical canonical signatures.
+This module derives a *canonical ordering* of that graph
+(:func:`canonical_form`): a total order over devices and nets that
+depends only on circuit structure and element values -- never on the
+names chosen for devices or nets, nor on declaration order.  Two
+circuits that differ only by a relabeling produce byte-identical
+canonical signatures.
 
 The algorithm is classic color refinement (1-dimensional
 Weisfeiler-Leman) with individualization:
@@ -36,9 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .elements import (
     GROUND,
@@ -52,8 +53,8 @@ from .elements import (
 from .netlist import Circuit
 
 __all__ = [
+    "connected_components",
     "element_terminals",
-    "device_net_graph",
     "CanonicalForm",
     "canonical_form",
     "wl_fingerprint",
@@ -61,6 +62,30 @@ __all__ = [
 
 #: Color-rank maps: vertex name -> integer color.
 _Ranks = Dict[str, int]
+
+
+def connected_components(
+    nodes: Iterable[str], edges: Iterable[Tuple[str, str]]
+) -> List[Set[str]]:
+    """The connected components of an undirected graph (union-find).
+
+    Edge endpoints missing from ``nodes`` join the graph.  Components
+    come back in no particular order.
+    """
+    parent: Dict[str, str] = {node: node for node in nodes}
+
+    def find(node: str) -> str:
+        while parent.setdefault(node, node) != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    components: Dict[str, Set[str]] = {}
+    for node in list(parent):
+        components.setdefault(find(node), set()).add(node)
+    return list(components.values())
 
 
 def element_terminals(element: Element) -> Tuple[Tuple[str, str], ...]:
@@ -112,29 +137,6 @@ def _kind_key(element: Element) -> Tuple[object, ...]:
     if isinstance(element, CurrentSource):
         return ("isource", float(element.dc), float(element.ac))
     raise TypeError(f"unknown element type {type(element).__name__}")
-
-
-def device_net_graph(circuit: Circuit) -> "nx.Graph":
-    """The labeled bipartite device-net graph.
-
-    Vertices are ``("device", name)`` and ``("net", name)`` tuples with
-    a ``kind`` attribute; edges carry the terminal ``role``.  Parallel
-    terminals of one device on the same net (e.g. a diode-connected
-    MOSFET's drain and gate) are folded into one edge whose role is the
-    ``+``-joined sorted role set (``"d+g"``).
-    """
-    graph = nx.Graph()
-    for element in circuit.elements:
-        dev = ("device", element.name)
-        graph.add_node(dev, kind="device", element=element)
-        roles: Dict[str, List[str]] = {}
-        for role, net in element_terminals(element):
-            roles.setdefault(net, []).append(role)
-        for net, role_list in roles.items():
-            net_vertex = ("net", net)
-            graph.add_node(net_vertex, kind="net", ground=net == GROUND)
-            graph.add_edge(dev, net_vertex, role="+".join(sorted(role_list)))
-    return graph
 
 
 @dataclass(frozen=True)

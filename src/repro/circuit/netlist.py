@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..errors import NetlistError
 from .elements import (
     GROUND,
@@ -151,44 +149,31 @@ class Circuit:
     # ------------------------------------------------------------------
     # Structure / validation
     # ------------------------------------------------------------------
-    def connectivity_graph(self, dc_only: bool = False) -> "nx.Graph":
-        """Undirected element-connectivity graph over nodes.
+    def connectivity_graph(
+        self, dc_only: bool = False
+    ) -> Tuple[Set[str], List[Tuple[str, str]]]:
+        """Undirected element-connectivity graph over nodes, as the pair
+        ``(nodes, edges)``; feed it to
+        :func:`repro.circuit.graph.connected_components`.
 
         With ``dc_only`` capacitors are skipped (no DC path through a cap)
-        and MOSFETs connect all four terminals (gate leakage is zero, but a
-        floating gate driven by nothing is a genuine error, so gates count
-        for connectivity purposes only through :meth:`validate`'s separate
-        driven-gate check).
+        and a MOSFET contributes only its drain-source edge: the gate draws
+        no DC current, and the gate and bulk stay nodes of the graph (a
+        floating gate driven by nothing is caught by :meth:`validate`'s
+        separate driven-gate check).
         """
-        graph = nx.Graph()
+        nodes: Set[str] = set()
+        edges: List[Tuple[str, str]] = []
         for element in self._elements:
-            nodes = element.nodes
             if dc_only and isinstance(element, Capacitor):
                 continue
+            nodes.update(element.nodes)
             if dc_only and isinstance(element, Mosfet):
-                # DC current paths exist drain<->source; bulk ties to its
-                # node; the gate draws no DC current.
-                graph.add_edge(element.drain, element.source, element=element.name)
-                graph.add_node(element.bulk)
-                graph.add_node(element.gate)
-                continue
-            first = nodes[0]
-            graph.add_node(first)
-            for other in nodes[1:]:
-                graph.add_edge(first, other, element=element.name)
-        return graph
-
-    def device_graph(self) -> "nx.Graph":
-        """The labeled bipartite device-net graph view.
-
-        See :func:`repro.circuit.graph.device_net_graph`: device and net
-        vertices, edges labeled with terminal roles -- the substrate the
-        topology motif matchers and canonicalization work on.
-        """
-        # Imported lazily: repro.circuit.graph imports this module.
-        from .graph import device_net_graph
-
-        return device_net_graph(self)
+                edges.append((element.drain, element.source))
+            else:
+                first = element.nodes[0]
+                edges.extend((first, other) for other in element.nodes[1:])
+        return nodes, edges
 
     def canonical_form(self) -> "CanonicalForm":
         """Relabeling-invariant canonical ordering of this circuit.

@@ -675,7 +675,7 @@ def _cmd_synthesize(args) -> int:
     from contextlib import nullcontext
 
     from .obs import RunReport, Tracer
-    from .opamp import EXTENDED_STYLES, OPAMP_STYLES, synthesize, verify_opamp
+    from .opamp import EXTENDED_STYLES, OPAMP_STYLES, synthesize
     from .circuit import to_spice
 
     process = _process_from_args(args)
@@ -705,6 +705,8 @@ def _cmd_synthesize(args) -> int:
                 handle.write(deck)
             print(f"SPICE deck written to {args.spice}")
         if result.ok and args.verify:
+            from .opamp import verify_opamp
+
             report = verify_opamp(result.best)
             print("Simulator verification")
             print("======================")

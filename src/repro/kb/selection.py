@@ -70,10 +70,6 @@ class CandidateResult:
     def feasible(self) -> bool:
         return self.result is not None
 
-    @property
-    def failure_kind(self) -> Optional[FailureKind]:
-        return self.failure.kind if self.failure is not None else None
-
 
 def _record_failure(
     candidates: List[CandidateResult],

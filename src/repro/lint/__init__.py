@@ -107,7 +107,6 @@ from .dataflow import (
     DataflowContext,
     EffectSummary,
     PlanCFG,
-    RecordingDesignState,
     build_cfg,
     lint_dataflow,
     lint_plan_dataflow,
@@ -115,7 +114,6 @@ from .dataflow import (
     live_variables,
     plan_effect_summaries,
     reaching_definitions,
-    record_effects,
     rule_effect_summary,
 )
 from .oracle import MUTATIONS, Mutation, MutationResult, run_mutation_oracle
@@ -192,13 +190,11 @@ __all__ = [
     "DimContext",
     "EffectSummary",
     "PlanCFG",
-    "RecordingDesignState",
     "build_cfg",
     "reaching_definitions",
     "live_variables",
     "plan_effect_summaries",
     "rule_effect_summary",
-    "record_effects",
     "lint_dataflow",
     "lint_plan_dataflow",
     "lint_template_dataflow",

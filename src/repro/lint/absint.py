@@ -199,10 +199,6 @@ class AbstractContext:
 _CTX = AbstractContext()
 
 
-def _context() -> AbstractContext:
-    return _CTX
-
-
 # ----------------------------------------------------------------------
 # The Interval domain
 # ----------------------------------------------------------------------

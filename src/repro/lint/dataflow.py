@@ -13,8 +13,7 @@ dataflow analyses over per-step **effect summaries**:
 
 Effect summaries are derived statically from each callable's AST (the
 :func:`~repro.lint.kblint.analyze_callable` machinery), so nothing is
-executed.  A :class:`RecordingDesignState` double is provided for tests
-and ad-hoc audits that *do* want a dynamic recording of one action.
+executed.
 
 Like the KB pass, the analysis is optimistic: reaching definitions are
 MAY (a conditional write counts as a definition), so a FLOW701 means
@@ -60,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from ..kb.plans import DesignState, Plan
+from ..kb.plans import Plan
 from ..kb.rules import Rule
 from ..kb.templates import TopologyTemplate
 from ..obs import count, span
@@ -70,8 +69,6 @@ from .registry import CheckerRegistry
 
 __all__ = [
     "EffectSummary",
-    "RecordingDesignState",
-    "record_effects",
     "plan_effect_summaries",
     "rule_effect_summary",
     "RestartEdge",
@@ -169,113 +166,6 @@ def rule_effect_summary(rule: Rule) -> EffectSummary:
     usage.merge(analyze_callable(rule.condition))
     usage.merge(analyze_callable(rule.action))
     return _summary_from_usage(rule.name, usage)
-
-
-# ----------------------------------------------------------------------
-# Dynamic recording double
-# ----------------------------------------------------------------------
-class _Anything:
-    """A wildcard value that absorbs arithmetic so recorded step actions
-    can run over unset variables without crashing."""
-
-    def __getattr__(self, name: str) -> "_Anything":
-        return self
-
-    def __call__(self, *args: Any, **kwargs: Any) -> "_Anything":
-        return self
-
-    def __float__(self) -> float:
-        return 1.0
-
-    def __bool__(self) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "<anything>"
-
-
-def _absorb(self: "_Anything", *args: Any) -> "_Anything":
-    return self
-
-
-for _op in (
-    "add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv",
-    "pow", "rpow", "neg", "abs", "mod", "rmod", "floordiv", "rfloordiv",
-    "lt", "le", "gt", "ge", "getitem",
-):
-    setattr(_Anything, f"__{_op}__", _absorb)
-
-
-class RecordingDesignState(DesignState):
-    """A :class:`~repro.kb.plans.DesignState` double that records the
-    protocol calls an action makes instead of requiring real values.
-
-    Reads of unset variables return a permissive wildcard rather than
-    raising, so most step actions run to completion (or at least far
-    enough to reveal their effect set).  The record lands in ``usage``
-    as a :class:`~repro.lint.kblint.StateUsage`.
-
-    This is the *dynamic* complement to the AST analysis: the lint pass
-    itself stays source-level (deterministic, side-effect free), but
-    tests and ad-hoc audits can cross-check a summary against what an
-    action actually does -- including through code the AST walk cannot
-    follow (bound methods, closures over the state).
-    """
-
-    def __init__(
-        self,
-        spec: Any = None,
-        process: Any = None,
-        seed_vars: Optional[Dict[str, Any]] = None,
-    ):
-        self.spec = spec
-        self.process = process
-        self.budget = None
-        self.vars: Dict[str, Any] = dict(seed_vars or {})
-        self.choices: Dict[str, str] = {}
-        self.current_step = ""
-        self.usage = StateUsage()
-
-    def get(self, name: str) -> Any:
-        self.usage.reads.add(name)
-        return self.vars.get(name, _Anything())
-
-    def set(self, name: str, value: Any) -> None:
-        self.usage.writes.add(name)
-        self.vars[name] = value
-
-    def get_or(self, name: str, default: Any) -> Any:
-        self.usage.soft_reads.add(name)
-        return self.vars.get(name, default)
-
-    def has(self, name: str) -> bool:
-        self.usage.soft_reads.add(name)
-        return name in self.vars
-
-    def choose(self, slot: str, style: str) -> None:
-        self.usage.choices_written.add(slot)
-        self.choices[slot] = style
-
-    def choice(self, slot: str, default: str = "") -> str:
-        self.usage.choices_read.add(slot)
-        return self.choices.get(slot, default)
-
-
-def record_effects(
-    action: Any,
-    spec: Any = None,
-    process: Any = None,
-    seed_vars: Optional[Dict[str, Any]] = None,
-) -> StateUsage:
-    """Run ``action`` over a :class:`RecordingDesignState` and return the
-    recorded usage.  Exceptions are swallowed: a partial record of an
-    action that crashed on a wildcard value is still informative."""
-    state = RecordingDesignState(spec=spec, process=process, seed_vars=seed_vars)
-    try:
-        action(state)
-    except Exception:  # noqa: BLE001 - best-effort recording
-        pass
-    return state.usage
 
 
 # ----------------------------------------------------------------------

@@ -39,15 +39,6 @@ class Severity(enum.IntEnum):
     def label(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_label(cls, label: str) -> "Severity":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise LintError(
-                f"unknown severity {label!r} (info/warning/error)"
-            ) from None
-
 
 @dataclass(frozen=True)
 class Diagnostic:

@@ -37,9 +37,7 @@ this pass so there is a single source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..circuit.elements import (
     GROUND,
@@ -48,6 +46,7 @@ from ..circuit.elements import (
     Mosfet,
     VoltageSource,
 )
+from ..circuit.graph import connected_components
 from ..circuit.netlist import Circuit
 from ..process.parameters import ProcessParameters
 from .diagnostics import Diagnostic, LintReport, Severity
@@ -79,6 +78,15 @@ class LintContext:
 
 def _loc(circuit: Circuit, detail: str) -> str:
     return f"{circuit.name}:{detail}"
+
+
+def _grounded(nodes: Set[str], edges: Iterable[Tuple[str, str]]) -> Set[str]:
+    """The nodes connected to ground; ``GROUND`` must be in ``nodes``."""
+    return next(
+        component
+        for component in connected_components(nodes, edges)
+        if GROUND in component
+    )
 
 
 # ----------------------------------------------------------------------
@@ -131,11 +139,10 @@ def check_reachability(
     """Every node must be connected (by any element) to ground."""
     if len(circuit) == 0:
         return
-    graph = circuit.connectivity_graph(dc_only=False)
-    if GROUND not in graph:
+    nodes, edges = circuit.connectivity_graph()
+    if GROUND not in nodes:
         return  # ERC102 already covers the missing reference
-    reachable = set(nx.node_connected_component(graph, GROUND))
-    for node in sorted(set(graph.nodes) - reachable):
+    for node in sorted(nodes - _grounded(nodes, edges)):
         yield Diagnostic(
             "ERC103",
             Severity.ERROR,
@@ -154,28 +161,25 @@ def check_dc_path(circuit: Circuit, context: LintContext) -> Iterator[Diagnostic
     leave the DC operating point undefined (gmin shunts aside)."""
     if len(circuit) == 0:
         return
-    graph = circuit.connectivity_graph(dc_only=True)
-    if GROUND not in graph:
+    nodes, edges = circuit.connectivity_graph(dc_only=True)
+    if GROUND not in nodes:
         return
     # A current source is an open circuit at DC: drop its edge unless
     # some other element also bridges the same node pair.
     pair_count: Dict[Tuple[str, str], int] = {}
     for element in circuit.elements:
-        nodes = element.nodes
-        for other in nodes[1:]:
-            key = tuple(sorted((nodes[0], other)))
+        first, *rest = element.nodes
+        for other in rest:
+            key = tuple(sorted((first, other)))
             pair_count[key] = pair_count.get(key, 0) + 1
+    open_pairs = set()
     for source in circuit.of_type(CurrentSource):
         key = tuple(sorted((source.positive, source.negative)))
-        if pair_count.get(key, 0) == 1 and graph.has_edge(*key):
-            graph.remove_edge(*key)
-    reachable = set(nx.node_connected_component(graph, GROUND))
-    any_graph = circuit.connectivity_graph(dc_only=False)
-    grounded = (
-        set(nx.node_connected_component(any_graph, GROUND))
-        if GROUND in any_graph
-        else set()
-    )
+        if pair_count.get(key, 0) == 1:
+            open_pairs.add(key)
+    dc_edges = [edge for edge in edges if tuple(sorted(edge)) not in open_pairs]
+    reachable = _grounded(nodes, dc_edges)
+    grounded = _grounded(*circuit.connectivity_graph())
     # Candidate nodes come from the *full* graph: a node touched only by
     # capacitors never even appears in the DC-only graph.
     for node in sorted(grounded - reachable - {GROUND}):

@@ -33,9 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-import networkx as nx
-
-from ..circuit.graph import element_terminals, wl_fingerprint
+from ..circuit.graph import connected_components, element_terminals, wl_fingerprint
 from ..circuit.netlist import Circuit
 from ..obs import count, span
 from ..process.parameters import ProcessParameters
@@ -224,20 +222,22 @@ def check_unrecognized_clusters(
     leftover = view.unclaimed()
     if not leftover:
         return
-    graph: "nx.Graph" = nx.Graph()
     net_members: Dict[str, List[str]] = {}
     for mosfet in leftover:
-        graph.add_node(mosfet.name)
         for net in set(mosfet.nodes):
             if net in view.rails:
                 continue
             net_members.setdefault(net, []).append(mosfet.name)
-    for names in net_members.values():
-        for other in names[1:]:
-            graph.add_edge(names[0], other)
+    edges = [
+        (names[0], other)
+        for names in net_members.values()
+        for other in names[1:]
+    ]
     clusters = sorted(
-        (sorted(component) for component in nx.connected_components(graph)),
-        key=lambda c: c[0],
+        sorted(component)
+        for component in connected_components(
+            (mosfet.name for mosfet in leftover), edges
+        )
     )
     for members in clusters:
         yield Diagnostic(

@@ -13,23 +13,35 @@ selection over both templates and picks the feasible design with the
 smallest estimated area (active devices plus compensation capacitor).
 :mod:`repro.opamp.verify` measures a synthesized amplifier with the
 in-repo simulator, standing in for the paper's SPICE verification.
+The names that need the simulator load it on first use, so importing
+this package loads synthesis only.
 """
+
+from importlib import import_module
+from typing import Any
 
 from .result import DesignedOpAmp, SynthesisResult
 from .compensation import CompensationDesign, design_compensation
 from .designer import EXTENDED_STYLES, OPAMP_STYLES, design_style, synthesize
-from .fully_differential import (
-    DesignedFdOpAmp,
-    design_fully_differential,
-    verify_fd_opamp,
-)
-from .verify import (
-    VerificationReport,
-    input_noise_spectrum,
-    measure_input_noise,
-    measure_rejection,
-    verify_opamp,
-)
+
+#: Exported name -> the module that defines it, imported on first use.
+_SIMULATING = {
+    "verify_opamp": ".verify",
+    "measure_rejection": ".verify",
+    "measure_input_noise": ".verify",
+    "input_noise_spectrum": ".verify",
+    "VerificationReport": ".verify",
+    "DesignedFdOpAmp": ".fully_differential",
+    "design_fully_differential": ".fully_differential",
+    "verify_fd_opamp": ".fully_differential",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _SIMULATING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_SIMULATING[name], __name__), name)
+
 
 __all__ = [
     "DesignedOpAmp",

@@ -34,7 +34,7 @@ import asyncio
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..errors import AdmissionRejected, QueueOverflow, ServeError
 from ..resilience import Budget
@@ -120,11 +120,6 @@ class AdmissionQueue:
     @property
     def draining(self) -> bool:
         return self._draining
-
-    @property
-    def service_ms(self) -> float:
-        """The EWMA per-job service-time estimate, milliseconds."""
-        return self._service_ms
 
     def observe_service_ms(self, elapsed_ms: float) -> None:
         """Fold one finished job's wall time into the EWMA."""

@@ -50,10 +50,6 @@ class NoiseResult:
     output_psd: np.ndarray
     contributions: Dict[str, np.ndarray]
 
-    def output_density(self) -> np.ndarray:
-        """RMS output noise density, V/sqrt(Hz)."""
-        return np.sqrt(self.output_psd)
-
     def input_referred_density(self, gain_magnitude: np.ndarray) -> np.ndarray:
         """Input-referred density given |H(f)| of the signal path."""
         gain_magnitude = np.asarray(gain_magnitude, dtype=float)

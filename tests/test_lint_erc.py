@@ -98,6 +98,16 @@ class TestErcTriggers:
         c.add_resistor("rdn", "mid", GROUND, 1e6)
         assert lint_circuit(c).codes() == []
 
+    def test_erc104_gate_is_no_dc_path(self):
+        # 'g' joins ground only through two MOSFET gates.
+        c = Circuit("c")
+        c.add_vsource("vdd", "vdd", GROUND, 5.0)
+        c.add_mosfet("m1", "vdd", "g", GROUND, GROUND, "nmos", 10e-6, 5e-6)
+        c.add_mosfet("m2", "vdd", "g", GROUND, GROUND, "nmos", 10e-6, 5e-6)
+        report = lint_circuit(c)
+        assert report.codes() == ["ERC104", "ERC105"]
+        assert "'g'" in report.by_code("ERC104")[0].message
+
     def test_erc105_undriven_gate(self):
         c = Circuit("c")
         c.add_vsource("vdd", "vdd", GROUND, 5.0)

@@ -275,6 +275,23 @@ class TestSeededDefects:
         assert len(diags) == 1
         assert "m1" in diags[0].message
 
+    def test_disjoint_clusters_fire_topo601_each_in_order(self):
+        c = Circuit("odd")
+        c.add_vsource("vdd", "vdd", "0", 5.0)
+        c.add_vsource("vin", "in", "0", 2.5)
+        c.add_vsource("vin2", "in2", "0", 2.5)
+        # Three degenerated common sources: 'mz' alone, and 'ma' driving
+        # 'mb' (one cluster through net 'outa'); 'mz' is declared first.
+        for name, gate in (("mz", "in2"), ("mb", "outa"), ("ma", "in")):
+            out, src = f"out{name[1]}", f"s{name[1]}"
+            c.add_mosfet(name, out, gate, src, "0", "nmos", 10e-6, 5e-6)
+            c.add_resistor(f"rs{name[1]}", src, "0", 1e3)
+            c.add_resistor(f"r{name[1]}", "vdd", out, 10e3)
+        _, report = lint_topology(c)
+        diags = [d for d in report if d.code == "TOPO601"]
+        assert [d.location for d in diags] == ["odd:ma", "odd:mz"]
+        assert "ma, mb matched" in diags[0].message
+
     def test_shared_tail_fires_topo604(self):
         circuit = _case_circuit("A")
         analysis = analyze_topology(circuit)
