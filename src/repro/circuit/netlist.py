@@ -156,11 +156,12 @@ class Circuit:
         ``(nodes, edges)``; feed it to
         :func:`repro.circuit.graph.connected_components`.
 
-        With ``dc_only`` capacitors are skipped (no DC path through a cap)
-        and a MOSFET contributes only its drain-source edge: the gate draws
-        no DC current, and the gate and bulk stay nodes of the graph (a
-        floating gate driven by nothing is caught by :meth:`validate`'s
-        separate driven-gate check).
+        With ``dc_only`` capacitors are skipped (no DC path through a cap),
+        a current source keeps its nodes but adds no edge (it is an open
+        circuit at DC), and a MOSFET contributes only its drain-source
+        edge: the gate draws no DC current, and the gate and bulk stay
+        nodes of the graph (a floating gate driven by nothing is caught by
+        :meth:`validate`'s separate driven-gate check).
         """
         nodes: Set[str] = set()
         edges: List[Tuple[str, str]] = []
@@ -168,6 +169,8 @@ class Circuit:
             if dc_only and isinstance(element, Capacitor):
                 continue
             nodes.update(element.nodes)
+            if dc_only and isinstance(element, CurrentSource):
+                continue
             if dc_only and isinstance(element, Mosfet):
                 edges.append((element.drain, element.source))
             else:

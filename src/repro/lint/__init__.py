@@ -1,6 +1,6 @@
 """Static diagnostics for netlists and the knowledge base.
 
-Two passes ship with the package:
+Six passes ship with the package:
 
 * **ERC** -- electrical rule checks over a flat
   :class:`~repro.circuit.netlist.Circuit` (floating nodes, missing DC
@@ -50,162 +50,65 @@ Entry points:
 
 Checkers are pluggable: see :mod:`repro.lint.registry` and
 ``docs/EXTENDING.md`` for the recipe.
+
+Importing the package loads no pass: each exported name imports its
+submodule on first use, so :meth:`Circuit.validate` pays for ERC only.
+The rest of each pass (contexts, registries, the seeded-mutation
+oracle) is imported from its submodule.
 """
 
 from __future__ import annotations
 
-from .absint import (
-    AbstractDesignState,
-    AbstractRun,
-    Interval,
-    abstract_numeric_context,
-    interpret_plan,
-    interpret_template,
-)
-from .diagnostics import Diagnostic, LintReport, Severity
-from .erc import (
-    LintContext,
-    assert_erc_clean,
-    lint_circuit,
-    lint_spice_deck,
-    validation_diagnostics,
-)
-from .feasibility import (
-    FEAS_REGISTRY,
-    FeasibilityContext,
-    FeasibilityTarget,
-    PrecheckResult,
-    lint_feasibility,
-    precheck_styles,
-    render_analysis,
-)
-from .kblint import (
-    KbContext,
-    StateUsage,
-    analyze_callable,
-    lint_knowledge_base,
-    lint_plan,
-    lint_template,
-)
-from .constraints import (
-    CommonCentroidCandidate,
-    ConstraintSet,
-    MatchedGroup,
-    SymmetricPair,
-    derive_constraints,
-)
-from .motifs import (
-    MOTIF_REGISTRY,
-    BlockInstance,
-    Motif,
-    MotifRegistry,
-    TopologyView,
-    recognize_blocks,
-)
-from .dataflow import (
-    FLOW_REGISTRY,
-    DataflowContext,
-    EffectSummary,
-    PlanCFG,
-    build_cfg,
-    lint_dataflow,
-    lint_plan_dataflow,
-    lint_template_dataflow,
-    live_variables,
-    plan_effect_summaries,
-    reaching_definitions,
-    rule_effect_summary,
-)
-from .oracle import MUTATIONS, Mutation, MutationResult, run_mutation_oracle
-from .registry import ERC_REGISTRY, KB_REGISTRY, Checker, CheckerRegistry
-from .topology import (
-    TOPO_REGISTRY,
-    TopologyAnalysis,
-    TopologyContext,
-    analyze_topology,
-    lint_topology,
-)
-from .units import (
-    ATTR_DIMENSIONS,
-    DIM_REGISTRY,
-    SPEC_DIMENSIONS,
-    VAR_DIMENSIONS,
-    DimContext,
-    analyze_template_dimensions,
-    lint_template_units,
-    lint_units,
-)
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "Diagnostic",
-    "Severity",
-    "LintReport",
-    "Checker",
-    "CheckerRegistry",
-    "ERC_REGISTRY",
-    "KB_REGISTRY",
-    "FEAS_REGISTRY",
-    "LintContext",
-    "KbContext",
-    "Interval",
-    "AbstractDesignState",
-    "AbstractRun",
-    "abstract_numeric_context",
-    "interpret_plan",
-    "interpret_template",
-    "FeasibilityTarget",
-    "FeasibilityContext",
-    "PrecheckResult",
-    "lint_feasibility",
-    "precheck_styles",
-    "render_analysis",
-    "StateUsage",
-    "analyze_callable",
-    "lint_circuit",
-    "lint_spice_deck",
-    "assert_erc_clean",
-    "validation_diagnostics",
-    "lint_template",
-    "lint_plan",
-    "lint_knowledge_base",
-    "MOTIF_REGISTRY",
-    "TOPO_REGISTRY",
-    "Motif",
-    "MotifRegistry",
-    "BlockInstance",
-    "TopologyView",
-    "recognize_blocks",
-    "SymmetricPair",
-    "MatchedGroup",
-    "CommonCentroidCandidate",
-    "ConstraintSet",
-    "derive_constraints",
-    "TopologyAnalysis",
-    "TopologyContext",
-    "analyze_topology",
-    "lint_topology",
-    "FLOW_REGISTRY",
-    "DIM_REGISTRY",
-    "DataflowContext",
-    "DimContext",
-    "EffectSummary",
-    "PlanCFG",
-    "build_cfg",
-    "reaching_definitions",
-    "live_variables",
-    "plan_effect_summaries",
-    "rule_effect_summary",
-    "lint_dataflow",
-    "lint_plan_dataflow",
-    "lint_template_dataflow",
-    "lint_units",
-    "lint_template_units",
-    "analyze_template_dimensions",
-    "SPEC_DIMENSIONS",
-    "ATTR_DIMENSIONS",
-    "VAR_DIMENSIONS",
-    "Mutation",
-    "MutationResult",
-    "MUTATIONS",
-    "run_mutation_oracle",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+#: A registry maps to the pass that fills it, so it arrives populated.
+_EXPORTS = {
+    "Diagnostic": ".diagnostics",
+    "LintReport": ".diagnostics",
+    "Severity": ".diagnostics",
+    "CheckerRegistry": ".registry",
+    "ERC_REGISTRY": ".erc",
+    "assert_erc_clean": ".erc",
+    "lint_circuit": ".erc",
+    "lint_spice_deck": ".erc",
+    "validation_diagnostics": ".erc",
+    "KB_REGISTRY": ".kblint",
+    "analyze_callable": ".kblint",
+    "lint_knowledge_base": ".kblint",
+    "lint_plan": ".kblint",
+    "lint_template": ".kblint",
+    "AbstractDesignState": ".absint",
+    "Interval": ".absint",
+    "abstract_numeric_context": ".absint",
+    "interpret_plan": ".absint",
+    "lint_feasibility": ".feasibility",
+    "precheck_styles": ".feasibility",
+    "render_analysis": ".feasibility",
+    "MOTIF_REGISTRY": ".motifs",
+    "BlockInstance": ".motifs",
+    "TopologyView": ".motifs",
+    "analyze_topology": ".topology",
+    "lint_topology": ".topology",
+    "EffectSummary": ".dataflow",
+    "build_cfg": ".dataflow",
+    "lint_dataflow": ".dataflow",
+    "lint_plan_dataflow": ".dataflow",
+    "lint_template_dataflow": ".dataflow",
+    "live_variables": ".dataflow",
+    "plan_effect_summaries": ".dataflow",
+    "reaching_definitions": ".dataflow",
+    "rule_effect_summary": ".dataflow",
+    "lint_template_units": ".units",
+    "lint_units": ".units",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+__all__ = list(_EXPORTS)

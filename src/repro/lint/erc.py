@@ -164,21 +164,7 @@ def check_dc_path(circuit: Circuit, context: LintContext) -> Iterator[Diagnostic
     nodes, edges = circuit.connectivity_graph(dc_only=True)
     if GROUND not in nodes:
         return
-    # A current source is an open circuit at DC: drop its edge unless
-    # some other element also bridges the same node pair.
-    pair_count: Dict[Tuple[str, str], int] = {}
-    for element in circuit.elements:
-        first, *rest = element.nodes
-        for other in rest:
-            key = tuple(sorted((first, other)))
-            pair_count[key] = pair_count.get(key, 0) + 1
-    open_pairs = set()
-    for source in circuit.of_type(CurrentSource):
-        key = tuple(sorted((source.positive, source.negative)))
-        if pair_count.get(key, 0) == 1:
-            open_pairs.add(key)
-    dc_edges = [edge for edge in edges if tuple(sorted(edge)) not in open_pairs]
-    reachable = _grounded(nodes, dc_edges)
+    reachable = _grounded(nodes, edges)
     grounded = _grounded(*circuit.connectivity_graph())
     # Candidate nodes come from the *full* graph: a node touched only by
     # capacitors never even appears in the DC-only graph.

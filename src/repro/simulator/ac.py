@@ -79,7 +79,6 @@ def ac_analysis(
     op: OperatingPointResult,
     frequencies: Sequence[float],
     source_overrides: Optional[Dict[str, complex]] = None,
-    strict: bool = False,
 ) -> ACResult:
     """Run an AC sweep around the given operating point.
 
@@ -91,17 +90,10 @@ def ac_analysis(
         source_overrides: optional map of source name -> complex AC value,
             overriding the netlist ``ac`` fields (lets CMRR/PSRR analyses
             re-excite the same circuit without editing it).
-        strict: additionally run the full ERC lint pass and raise
-            :class:`~repro.errors.LintError` on any error-severity
-            finding before assembling the AC system.
 
     Returns:
         :class:`ACResult` with a phasor array per node.
     """
-    if strict:
-        from ..lint import assert_erc_clean  # local: avoid import cycle
-
-        assert_erc_clean(circuit, process=process, context="ac_analysis")
     system = MnaSystem(circuit, process)
     freqs = np.asarray(list(frequencies), dtype=float)
     if freqs.size == 0 or np.any(freqs <= 0):

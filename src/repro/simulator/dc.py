@@ -566,7 +566,6 @@ def operating_point(
     initial_guess: Optional[Dict[str, float]] = None,
     max_iterations: int = 150,
     vth_shifts: Optional[Dict[str, float]] = None,
-    strict: bool = False,
     budget: Optional[Budget] = None,
     trace: Optional[DesignTrace] = None,
     ladder_factory: Optional[
@@ -586,10 +585,6 @@ def operating_point(
         max_iterations: NR budget per homotopy step.
         vth_shifts: optional per-device threshold perturbations, volts
             (Monte Carlo mismatch hook; see :class:`MnaSystem`).
-        strict: additionally run the full ERC lint pass and raise
-            :class:`~repro.errors.LintError` on any error-severity
-            finding (rather than discovering the problem as a singular
-            matrix mid-solve).
         budget: explicit resilience budget charged per Newton
             iteration; defaults to the ambient budget, if any.
         trace: optional design trace; the ladder escalation history is
@@ -608,7 +603,6 @@ def operating_point(
         ConvergenceError: if all ladder rungs fail; ``iterations`` is
             cumulative across rungs and the per-rung history is
             available via the ``__cause__`` chain.
-        LintError: in strict mode, when the circuit fails ERC.
         SimulationError: ``source_values`` names a non-source, or a
             system comes with another process or ``vth_shifts``.
         BudgetExceeded: when the governing budget trips mid-solve.
@@ -621,10 +615,6 @@ def operating_point(
                 f"{circuit.name}: a built system keeps its process and vth_shifts"
             )
         vth_shifts = system.vth_shifts
-    if strict:
-        from ..lint import assert_erc_clean  # local: avoid import cycle
-
-        assert_erc_clean(circuit, process=process, context="operating_point")
     if system is None:
         circuit.validate()
 

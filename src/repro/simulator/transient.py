@@ -180,7 +180,6 @@ def transient_analysis(
     t_step: float,
     stimuli: Optional[Dict[str, Callable[[float], float]]] = None,
     max_iterations: int = 100,
-    strict: bool = False,
 ) -> TransientResult:
     """Run a fixed-step trapezoidal transient.
 
@@ -194,9 +193,6 @@ def transient_analysis(
         stimuli: optional waveform per independent-source name; sources
             not listed hold their DC value.
         max_iterations: NR budget per timestep.
-        strict: additionally run the full ERC lint pass and raise
-            :class:`~repro.errors.LintError` on any error-severity
-            finding before integrating.
 
     Returns:
         :class:`TransientResult`.
@@ -207,10 +203,6 @@ def transient_analysis(
             by its time ``t``) does not converge.
         BudgetExceeded: when the ambient budget trips mid-run.
     """
-    if strict:
-        from ..lint import assert_erc_clean  # local: avoid import cycle
-
-        assert_erc_clean(circuit, process=process, context="transient_analysis")
     if t_stop <= 0 or t_step <= 0 or t_step > t_stop:
         raise SimulationError(f"bad transient range t_stop={t_stop}, t_step={t_step}")
     stimuli = dict(stimuli or {})

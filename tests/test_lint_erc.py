@@ -1,10 +1,13 @@
 """ERC lint pass: one positive trigger per diagnostic code, clean runs
 over every shipped topology and paper test case, the reworked
-collect-all ``Circuit.validate``, subcircuit deck parsing, and the
-strict gates in the designer and simulator entry points."""
+collect-all ``Circuit.validate``, subcircuit deck parsing, ERC104
+against the rank of the simulator's DC matrix, and the strict gates in
+the designer and before a simulation."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec
@@ -26,7 +29,10 @@ from repro.opamp import design_fully_differential, synthesize
 from repro.opamp.designer import design_style
 from repro.opamp.testcases import paper_test_cases
 from repro.simulator import ac_analysis, operating_point, transient_analysis
+from repro.simulator.mna import MnaSystem
 from repro.simulator.transient import step_waveform
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _grounded_anchor(circuit):
@@ -97,6 +103,32 @@ class TestErcTriggers:
         c.add_resistor("rpar", "anchor", "mid", 1e6)
         c.add_resistor("rdn", "mid", GROUND, 1e6)
         assert lint_circuit(c).codes() == []
+
+    @pytest.mark.parametrize(
+        "deck, floating",
+        [
+            ((FIXTURES / "erc104_isource_cap.sp").read_text(), True),
+            ((FIXTURES / "erc104_parallel_isources.sp").read_text(), True),
+            (
+                "v1 anchor 0 DC 1\ni1 anchor mid DC 1u\n"
+                "r1 anchor mid 1k\nc2 mid 0 1p\n.end\n",
+                False,
+            ),
+        ],
+        ids=["cap-parallels-isource", "parallel-isources", "resistor-parallels-isource"],
+    )
+    def test_erc104_matches_singular_dc_matrix(self, deck, floating):
+        # A current source is open at DC whatever shares its node pair:
+        # ERC104 fires exactly when the DC Jacobian (no gmin) is singular.
+        c = from_spice(deck)
+        system = MnaSystem(c, CMOS_5UM)
+        _, jacobian, _ = system.assemble_dc_system(np.zeros(system.size), 0.0)
+        singular = bool(np.linalg.matrix_rank(jacobian) < system.size)
+        report = lint_circuit(c)
+        assert singular is floating
+        assert report.codes() == (["ERC104"] if floating else [])
+        if floating:
+            assert "'mid'" in report.by_code("ERC104")[0].message
 
     def test_erc104_gate_is_no_dc_path(self):
         # 'g' joins ground only through two MOSFET gates.
@@ -360,31 +392,41 @@ x1 p 0 pair
 # Strict gates
 # ----------------------------------------------------------------------
 class TestStrictGates:
+    # A simulation is gated by one assert_erc_clean call before the
+    # solve: the solver itself never runs the lint pass.
     def test_operating_point_strict_rejects(self):
+        circuit = broken_circuit()
         with pytest.raises(LintError) as excinfo:
-            operating_point(broken_circuit(), CMOS_5UM, strict=True)
+            assert_erc_clean(circuit, process=CMOS_5UM, context="operating_point")
+            operating_point(circuit, CMOS_5UM)
         assert excinfo.value.report is not None
         assert "ERC101" in excinfo.value.report.codes()
 
     def test_ac_analysis_strict_rejects(self):
-        with pytest.raises(LintError):
-            ac_analysis(broken_circuit(), CMOS_5UM, None, [1e3], strict=True)
+        circuit = broken_circuit()
+        with pytest.raises(LintError) as excinfo:
+            assert_erc_clean(circuit, process=CMOS_5UM, context="ac_analysis")
+            ac_analysis(circuit, CMOS_5UM, None, [1e3])
+        assert "ERC101" in excinfo.value.report.codes()
 
     def test_transient_strict_rejects(self):
-        with pytest.raises(LintError):
+        circuit = broken_circuit()
+        with pytest.raises(LintError) as excinfo:
+            assert_erc_clean(circuit, process=CMOS_5UM, context="transient_analysis")
             transient_analysis(
-                broken_circuit(),
+                circuit,
                 CMOS_5UM,
                 t_stop=1e-6,
                 t_step=1e-7,
                 stimuli={"vref": step_waveform(0.0, 1.0, 1e-7)},
-                strict=True,
             )
+        assert "ERC101" in excinfo.value.report.codes()
 
     def test_operating_point_strict_accepts_clean(self):
         c = Circuit("ok")
         _grounded_anchor(c)
-        result = operating_point(c, CMOS_5UM, strict=True)
+        assert len(assert_erc_clean(c, process=CMOS_5UM)) == 0
+        result = operating_point(c, CMOS_5UM)
         assert result is not None
 
     def test_designer_strict_rejects_bad_packager(self, monkeypatch):
