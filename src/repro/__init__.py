@@ -18,63 +18,63 @@ Quickstart::
     result = synthesize(spec, CMOS_5UM)
     print(result.summary())
 
-Importing the package loads synthesis only: the names that need the
-simulator (verification and the closed-loop application) load it on
-first use.
+Importing the package loads no submodule: each exported name imports
+its module on first use, so ``repro.synthesize`` loads synthesis only
+and ``repro.verify_opamp`` loads the simulator.
 """
 
 from importlib import import_module
 from typing import Any
 
-from .errors import (
-    ConvergenceError,
-    NetlistError,
-    PlanError,
-    ReproError,
-    SimulationError,
-    SpecificationError,
-    SynthesisError,
-    TechnologyError,
-    UnitError,
-)
-from .process import (
-    CMOS_1P2UM,
-    CMOS_3UM,
-    CMOS_5UM,
-    DeviceParams,
-    ProcessParameters,
-    builtin_processes,
-    dump_technology,
-    load_technology,
-    loads_technology,
-)
-from .circuit import Circuit, CircuitBuilder, schematic_report, to_spice
-from .kb import (
-    Block,
-    DesignState,
-    DesignTrace,
-    OpAmpSpec,
-    Plan,
-    PlanExecutor,
-    PlanStep,
-    Rule,
-    SpecEntry,
-    SpecKind,
-    Specification,
-)
-from .opamp import (
-    EXTENDED_STYLES,
-    OPAMP_STYLES,
-    DesignedOpAmp,
-    SynthesisResult,
-    synthesize,
-)
-
-#: Exported name -> the module that defines it, imported on first use.
-_SIMULATING = {
+#: Exported name -> the module it is imported from, on first use.
+_EXPORTS = {
+    # errors
+    "ReproError": ".errors",
+    "UnitError": ".errors",
+    "TechnologyError": ".errors",
+    "SpecificationError": ".errors",
+    "NetlistError": ".errors",
+    "SimulationError": ".errors",
+    "ConvergenceError": ".errors",
+    "SynthesisError": ".errors",
+    "PlanError": ".errors",
+    # process
+    "DeviceParams": ".process",
+    "ProcessParameters": ".process",
+    "load_technology": ".process",
+    "loads_technology": ".process",
+    "dump_technology": ".process",
+    "CMOS_5UM": ".process",
+    "CMOS_3UM": ".process",
+    "CMOS_1P2UM": ".process",
+    "builtin_processes": ".process",
+    # circuit
+    "Circuit": ".circuit",
+    "CircuitBuilder": ".circuit",
+    "to_spice": ".circuit",
+    "schematic_report": ".circuit",
+    # kb
+    "OpAmpSpec": ".kb",
+    "Specification": ".kb",
+    "SpecEntry": ".kb",
+    "SpecKind": ".kb",
+    "Block": ".kb",
+    "DesignState": ".kb",
+    "DesignTrace": ".kb",
+    "Plan": ".kb",
+    "PlanStep": ".kb",
+    "PlanExecutor": ".kb",
+    "Rule": ".kb",
+    # opamp
+    "synthesize": ".opamp",
     "verify_opamp": ".opamp.verify",
     "measure_rejection": ".opamp.verify",
+    "DesignedOpAmp": ".opamp",
+    "SynthesisResult": ".opamp",
     "VerificationReport": ".opamp.verify",
+    "OPAMP_STYLES": ".opamp",
+    "EXTENDED_STYLES": ".opamp",
+    # applications
     "ClosedLoopSpec": ".applications.closed_loop",
     "design_closed_loop_amp": ".applications.closed_loop",
     "verify_closed_loop": ".applications.closed_loop",
@@ -82,62 +82,11 @@ _SIMULATING = {
 
 
 def __getattr__(name: str) -> Any:
-    if name not in _SIMULATING:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(_SIMULATING[name], __name__), name)
+    return getattr(import_module(_EXPORTS[name], __name__), name)
 
 
-__all__ = [
-    # errors
-    "ReproError",
-    "UnitError",
-    "TechnologyError",
-    "SpecificationError",
-    "NetlistError",
-    "SimulationError",
-    "ConvergenceError",
-    "SynthesisError",
-    "PlanError",
-    # process
-    "DeviceParams",
-    "ProcessParameters",
-    "load_technology",
-    "loads_technology",
-    "dump_technology",
-    "CMOS_5UM",
-    "CMOS_3UM",
-    "CMOS_1P2UM",
-    "builtin_processes",
-    # circuit
-    "Circuit",
-    "CircuitBuilder",
-    "to_spice",
-    "schematic_report",
-    # kb
-    "OpAmpSpec",
-    "Specification",
-    "SpecEntry",
-    "SpecKind",
-    "Block",
-    "DesignState",
-    "DesignTrace",
-    "Plan",
-    "PlanStep",
-    "PlanExecutor",
-    "Rule",
-    # opamp
-    "synthesize",
-    "verify_opamp",
-    "measure_rejection",
-    "DesignedOpAmp",
-    "SynthesisResult",
-    "VerificationReport",
-    "OPAMP_STYLES",
-    "EXTENDED_STYLES",
-    # applications
-    "ClosedLoopSpec",
-    "design_closed_loop_amp",
-    "verify_closed_loop",
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "1.0.0"

@@ -25,42 +25,40 @@ Library use::
 
 CLI use: ``repro batch --testcase A --sweep gain=60:80:5 --jobs 4
 --cache --out results.jsonl`` (see ``repro batch --help``).
+
+Importing the package loads no submodule: each exported name imports
+the submodule that defines it on first use, so building and running a
+grid loads no simulator until a task verifies or a caller asks for
+:func:`~repro.batch.corners.corner_operating_points`.
 """
 
-from .corners import corner_operating_points
-from .engine import (
-    BatchResult,
-    VOLATILE_KEYS,
-    default_jobs,
-    run_batch,
-    synthesize_many,
-)
-from .grid import (
-    CORNERS,
-    SWEEP_FIELDS,
-    BatchTask,
-    build_tasks,
-    expand_sweeps,
-    grid_from_config,
-    load_grid,
-    parse_sweep,
-    sweep_values,
-)
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "BatchTask",
-    "BatchResult",
-    "VOLATILE_KEYS",
-    "CORNERS",
-    "SWEEP_FIELDS",
-    "parse_sweep",
-    "sweep_values",
-    "expand_sweeps",
-    "build_tasks",
-    "grid_from_config",
-    "load_grid",
-    "run_batch",
-    "synthesize_many",
-    "default_jobs",
-    "corner_operating_points",
-]
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "BatchTask": ".grid",
+    "BatchResult": ".engine",
+    "VOLATILE_KEYS": ".engine",
+    "CORNERS": ".grid",
+    "SWEEP_FIELDS": ".grid",
+    "parse_sweep": ".grid",
+    "sweep_values": ".grid",
+    "expand_sweeps": ".grid",
+    "build_tasks": ".grid",
+    "grid_from_config": ".grid",
+    "load_grid": ".grid",
+    "run_batch": ".engine",
+    "synthesize_many": ".engine",
+    "default_jobs": ".engine",
+    "corner_operating_points": ".corners",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+__all__ = list(_EXPORTS)

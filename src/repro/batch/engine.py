@@ -42,7 +42,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..cache import ResultCache, cache_scope, content_key, process_key, spec_key
 from ..kb.specs import OpAmpSpec
-from ..obs import current_tracer
+from ..obs.spans import current_tracer
 from ..obs.log import get_logger
 from ..obs.spans import count as metric_count
 from ..obs.telemetry import TraceContext, activate_trace, current_trace_context
@@ -191,7 +191,7 @@ def _execute_task(task: BatchTask) -> Dict[str, Any]:
     # from paying for the full designer stack before it is needed.
     from contextlib import ExitStack
 
-    from ..obs import Tracer
+    from ..obs.spans import Tracer
     from ..opamp.designer import synthesize
 
     # Observed tasks get their *own* tracer, shadowing any ambient one:

@@ -48,39 +48,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import ReproError
-from .kb.specs import OpAmpSpec
-from .obs.report import TRACE_FORMATS
-from .process import builtin_processes, load_technology
-from .units import parse_quantity
+
+if TYPE_CHECKING:
+    from .kb.specs import OpAmpSpec
+    from .process import ProcessParameters
 
 __all__ = ["main", "build_parser", "package_version"]
 
 
 def package_version() -> str:
-    """The installed package version (``repro --version``).
+    """The package version (``repro --version``), pinned to pyproject.toml."""
+    from . import __version__
 
-    Resolved from package metadata when the distribution is installed;
-    falls back to the source-tree version for ``PYTHONPATH=src`` runs.
-    """
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-    except ImportError:  # pragma: no cover - py3.8+: always importable
-        return "1.0.0"
-    try:
-        return version("repro")
-    except PackageNotFoundError:
-        # Source-tree run (PYTHONPATH=src): mirror pyproject.toml.
-        return "1.0.0"
+    return __version__
 
 
 #: Test-case aliases: the paper labels plus 1/2/3 shorthands.
 _TESTCASE_ALIASES = {"1": "A", "2": "B", "3": "C"}
 
 
-def _process_from_args(args) -> "ProcessParameters":
+def _process_from_args(args) -> ProcessParameters:
+    from .process import builtin_processes, load_technology
+
     if args.tech:
         return load_technology(args.tech)
     processes = builtin_processes()
@@ -136,6 +128,9 @@ _SPEC_FLAGS = ("gain_db", "ugf", "slew", "load", "swing")
 
 
 def _spec_from_args(args) -> OpAmpSpec:
+    from .kb.specs import OpAmpSpec
+    from .units import parse_quantity
+
     missing = [
         "--" + name.replace("_", "-")
         for name in _SPEC_FLAGS
@@ -179,6 +174,8 @@ def _spec_or_testcase(args) -> OpAmpSpec:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .obs.events import TRACE_FORMATS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="OASYS reproduction: knowledge-based analog circuit synthesis",
@@ -730,7 +727,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_testcases(args) -> int:
-    from .opamp import synthesize, verify_opamp
+    from .opamp import synthesize
     from .opamp.testcases import paper_test_cases
     from .reporting import table2_report
 
@@ -740,6 +737,8 @@ def _cmd_testcases(args) -> int:
         print(f"designing case {label}...", file=sys.stderr)
         designs[label] = synthesize(spec, process).best
         if not args.no_verify:
+            from .opamp import verify_opamp
+
             reports[label] = verify_opamp(designs[label])
     print(table2_report(designs, reports or None))
     return 0
@@ -747,6 +746,7 @@ def _cmd_testcases(args) -> int:
 
 def _cmd_adc(args) -> int:
     from .adc import SarAdcSpec, design_sar_adc
+    from .units import parse_quantity
 
     process = _process_from_args(args)
     spec = SarAdcSpec(
@@ -762,6 +762,7 @@ def _cmd_adc(args) -> int:
 
 
 def _cmd_processes(args) -> int:
+    from .process import builtin_processes
     from .reporting import table1_report
 
     processes = builtin_processes()
@@ -780,12 +781,7 @@ def _cmd_processes(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .lint import (
-        LintReport,
-        lint_circuit,
-        lint_knowledge_base,
-        lint_spice_deck,
-    )
+    from .lint import LintReport, lint_circuit, lint_spice_deck
 
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
@@ -898,6 +894,8 @@ def _cmd_lint(args) -> int:
             )
             report.extend(topo_report)
     if args.self_check:
+        from .lint import lint_knowledge_base
+
         report.extend(lint_knowledge_base())
         if args.topology:
             # Structural regression oracle: every synthesized style must
@@ -1057,7 +1055,7 @@ def _cmd_stats(args) -> int:
 
     from .cache import ResultCache, cache_scope
     from .obs import RunReport, Tracer
-    from .opamp import synthesize, verify_opamp
+    from .opamp import synthesize
 
     spec_flags_given = any(
         getattr(args, name) is not None for name in _SPEC_FLAGS
@@ -1071,6 +1069,10 @@ def _cmd_stats(args) -> int:
     spec = _spec_or_testcase(args)
     cache = None
     if args.cache or args.cache_dir:
+        # Loaded before the tracer starts, so the report's span coverage
+        # holds the run, not the simulator import.
+        from .opamp import verify_opamp
+
         cache = ResultCache(disk_dir=args.cache_dir)
     # One tracer spans synthesis and, under a cache, both verifications:
     # synthesis itself is analytic, the cache earns its keep on the

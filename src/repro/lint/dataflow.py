@@ -62,7 +62,7 @@ from typing import (
 from ..kb.plans import Plan
 from ..kb.rules import Rule
 from ..kb.templates import TopologyTemplate
-from ..obs import count, span
+from ..obs.spans import count, span
 from .diagnostics import Diagnostic, LintReport, Severity
 from .kblint import KbContext, StateUsage, analyze_callable
 from .registry import CheckerRegistry

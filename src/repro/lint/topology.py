@@ -35,7 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..circuit.graph import connected_components, element_terminals, wl_fingerprint
 from ..circuit.netlist import Circuit
-from ..obs import count, span
+from ..obs.spans import count, span
 from ..process.parameters import ProcessParameters
 from .constraints import ConstraintSet, derive_constraints
 from .diagnostics import Diagnostic, LintReport, Severity

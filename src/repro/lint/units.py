@@ -61,7 +61,7 @@ from typing import (
 )
 
 from ..kb.templates import TopologyTemplate
-from ..obs import count, span
+from ..obs.spans import count, span
 from ..process.parameters import PARAMETER_DIMENSIONS, PROCESS_DIMENSIONS
 from ..units import (
     AMPERE,

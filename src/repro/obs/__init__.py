@@ -23,126 +23,83 @@ When no tracer is active every instrumentation point is a no-op (one
 contextvar read), so observability is free unless switched on --
 ``synthesize(..., observe=True)``, the CLI's ``--trace-out``, or an
 explicitly activated :class:`Tracer`.
+
+Importing the package loads no submodule: each exported name imports
+the submodule that defines it on first use.
 """
 
 from __future__ import annotations
 
-from .events import TRACE_KIND_MARKERS, UNKNOWN_MARKER, known_kinds, marker_for
-from .export import (
-    flame_text,
-    iter_jsonl,
-    latency_table,
-    percentile,
-    render_metrics,
-    render_prometheus,
-    summarize_jsonl,
-    to_chrome,
-    to_chrome_json,
-    to_jsonl,
-)
-from .log import (
-    LOG_LEVELS,
-    LOG_SCHEMA,
-    CollectingSink,
-    StructLogger,
-    get_logger,
-    validate_log_line,
-)
-from .metrics import (
-    LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    metric_key,
-)
-from .report import TRACE_FORMATS, RunReport
-from .slo import (
-    SloCheck,
-    SloTarget,
-    evaluate_snapshot,
-    evaluate_trace,
-    histogram_quantile,
-    load_targets,
-)
-from .telemetry import (
-    TraceContext,
-    activate_trace,
-    current_trace_context,
-    current_trace_id,
-    ensure_trace_context,
-)
-from .spans import (
-    NULL_SPAN,
-    NullSpan,
-    Span,
-    SpanHandle,
-    Tracer,
-    count,
-    current_span_id,
-    current_tracer,
-    gauge,
-    observe,
-    span,
-)
+from importlib import import_module
+from typing import Any
 
-__all__ = [
+#: Exported name -> the submodule that defines it, imported on first use.
+_EXPORTS = {
     # spans
-    "Span",
-    "SpanHandle",
-    "NullSpan",
-    "NULL_SPAN",
-    "Tracer",
-    "current_tracer",
-    "current_span_id",
-    "span",
-    "count",
-    "observe",
-    "gauge",
+    "Span": ".spans",
+    "SpanHandle": ".spans",
+    "NullSpan": ".spans",
+    "NULL_SPAN": ".spans",
+    "Tracer": ".spans",
+    "current_tracer": ".spans",
+    "current_span_id": ".spans",
+    "span": ".spans",
+    "count": ".spans",
+    "observe": ".spans",
+    "gauge": ".spans",
     # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "LATENCY_BUCKETS_MS",
-    "MetricsRegistry",
-    "metric_key",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "LATENCY_BUCKETS_MS": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "metric_key": ".metrics",
     # telemetry
-    "TraceContext",
-    "activate_trace",
-    "current_trace_context",
-    "current_trace_id",
-    "ensure_trace_context",
+    "TraceContext": ".telemetry",
+    "activate_trace": ".telemetry",
+    "current_trace_context": ".telemetry",
+    "current_trace_id": ".telemetry",
+    "ensure_trace_context": ".telemetry",
     # logging
-    "LOG_LEVELS",
-    "LOG_SCHEMA",
-    "CollectingSink",
-    "StructLogger",
-    "get_logger",
-    "validate_log_line",
+    "LOG_LEVELS": ".log",
+    "LOG_SCHEMA": ".log",
+    "CollectingSink": ".log",
+    "StructLogger": ".log",
+    "get_logger": ".log",
+    "validate_log_line": ".log",
     # slo
-    "SloTarget",
-    "SloCheck",
-    "load_targets",
-    "evaluate_trace",
-    "evaluate_snapshot",
-    "histogram_quantile",
+    "SloTarget": ".slo",
+    "SloCheck": ".slo",
+    "load_targets": ".slo",
+    "evaluate_trace": ".slo",
+    "evaluate_snapshot": ".slo",
+    "histogram_quantile": ".slo",
     # events vocabulary
-    "TRACE_KIND_MARKERS",
-    "UNKNOWN_MARKER",
-    "known_kinds",
-    "marker_for",
+    "TRACE_KIND_MARKERS": ".events",
+    "UNKNOWN_MARKER": ".events",
+    "known_kinds": ".events",
+    "marker_for": ".events",
     # export
-    "to_jsonl",
-    "to_chrome",
-    "to_chrome_json",
-    "flame_text",
-    "render_metrics",
-    "render_prometheus",
-    "latency_table",
-    "percentile",
-    "summarize_jsonl",
-    "iter_jsonl",
+    "to_jsonl": ".export",
+    "to_chrome": ".export",
+    "to_chrome_json": ".export",
+    "flame_text": ".export",
+    "render_metrics": ".export",
+    "render_prometheus": ".export",
+    "latency_table": ".export",
+    "percentile": ".export",
+    "summarize_jsonl": ".export",
+    "iter_jsonl": ".export",
     # report
-    "RunReport",
-    "TRACE_FORMATS",
-]
+    "RunReport": ".report",
+    "TRACE_FORMATS": ".events",
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_EXPORTS[name], __name__), name)
+
+
+__all__ = list(_EXPORTS)

@@ -1,4 +1,4 @@
-"""The shared design-trace event vocabulary.
+"""The shared design-trace event vocabulary, and the trace file formats.
 
 :class:`~repro.kb.trace.DesignTrace` renders events as text with a
 two/three-character marker per event kind, and the observability
@@ -8,7 +8,8 @@ silently drift out of the other: ``render()`` looks markers up here,
 and the JSONL exporter embeds the marker alongside the kind.
 
 This module deliberately has no imports from the rest of the package
-(it sits below :mod:`repro.kb.trace` in the import graph).
+(it sits below :mod:`repro.kb.trace` in the import graph), so the CLI
+can read :data:`TRACE_FORMATS` without loading the exporters.
 """
 
 from __future__ import annotations
@@ -16,11 +17,16 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 __all__ = [
+    "TRACE_FORMATS",
     "TRACE_KIND_MARKERS",
     "UNKNOWN_MARKER",
     "known_kinds",
     "marker_for",
 ]
+
+#: Formats accepted by :meth:`~repro.obs.report.RunReport.write` and the
+#: CLI's ``--trace-format``.
+TRACE_FORMATS = ("jsonl", "chrome", "text")
 
 #: Event kind -> rendering marker.  The single source of truth shared by
 #: :meth:`repro.kb.trace.DesignTrace.render` and the JSONL exporter.

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from .events import TRACE_FORMATS
 from .export import (
     flame_text,
     latency_table,
@@ -26,10 +27,7 @@ from .export import (
 )
 from .spans import Span, Tracer
 
-__all__ = ["RunReport", "TRACE_FORMATS"]
-
-#: Formats accepted by :meth:`RunReport.write` / the CLI ``--trace-format``.
-TRACE_FORMATS = ("jsonl", "chrome", "text")
+__all__ = ["RunReport"]
 
 
 @dataclass

@@ -22,7 +22,8 @@ from ..kb.selection import breadth_first_select
 from ..kb.specs import OpAmpSpec
 from ..kb.templates import StyleCatalog
 from ..kb.trace import DesignTrace
-from ..obs import RunReport, Tracer, current_tracer
+from ..obs.report import RunReport
+from ..obs.spans import Tracer, current_tracer
 from ..obs.spans import NULL_SPAN, NullSpan
 from ..obs.spans import count as metric_count
 from ..obs.spans import gauge as metric_gauge

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..kb.specs import OpAmpSpec
 from ..opamp.result import DesignedOpAmp
-from ..opamp.verify import VerificationReport
 from ..process.parameters import ProcessParameters
+
+if TYPE_CHECKING:
+    from ..opamp.verify import VerificationReport
 
 __all__ = ["render_table", "table1_report", "table2_report"]
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Set
 
 from ..errors import ReproError, ServeError
-from ..obs import Tracer
+from ..obs.spans import Tracer
 from ..obs.export import render_metrics, render_prometheus
 from ..obs.log import bound as log_bound
 from ..obs.log import get_logger

@@ -419,6 +419,21 @@ class TestVersionFlag:
 
         assert package_version() in out
 
+    def test_version_matches_pyproject(self):
+        import re
+        from pathlib import Path
+
+        from repro.cli import package_version
+
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        project = re.search(
+            r'^\[project\]$.*?^version = "([^"]+)"$',
+            pyproject.read_text(encoding="utf-8"),
+            re.MULTILINE | re.DOTALL,
+        )
+        assert project is not None
+        assert package_version() == project.group(1)
+
 
 class TestObservabilityCli:
     def test_synth_alias_with_testcase_number(self, capsys):
