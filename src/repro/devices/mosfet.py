@@ -27,6 +27,13 @@ Consequently :class:`MosfetOperatingPoint` stores the *signed* partial
 derivatives ``gm = dId/dVgs``, ``gds = dId/dVds``, ``gmbs = dId/dVbs`` in
 the external frame; they are positive in normal forward operation for
 both polarities and may legitimately change sign in reversed mode.
+
+The model answers three questions.  :meth:`MosfetModel.evaluate` gives
+what a Newton stamp reads -- ``(ids, gm, gds, gmbs, region)`` -- and is
+what every Newton iterate calls.  :meth:`MosfetModel.capacitances` gives
+the five capacitances that AC and the transient linearize.
+:meth:`MosfetModel.operating_point` combines the two into a
+:class:`MosfetOperatingPoint`, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -149,6 +156,12 @@ class MosfetModel:
         self.lam = params.lambda_at(length)
         self._sign = 1.0 if params.polarity == "nmos" else -1.0
         self._cox_area = cox * width * length
+        self._vto = abs(params.vto)
+        self._sqrt_phi = math.sqrt(params.phi)
+        #: Zero-bias junction capacitance of one drain/source diffusion.
+        self._cj_zero_bias = params.cj * estimate_junction_area(
+            width, drain_width
+        ) + params.cjsw * estimate_junction_perimeter(width, drain_width)
 
     # ------------------------------------------------------------------
     # Core NMOS-frame current (vds >= 0 only)
@@ -159,20 +172,19 @@ class MosfetModel:
         ``vbs`` must already be in the internal frame (reflected for PMOS).
         """
         p = self.params
-        vto = abs(p.vto)
         if p.gamma == 0.0:
-            return vto
+            return self._vto
         # phi - vbs must stay positive; a forward-biased body (vbs > 0) is
         # clamped at a small depletion value rather than producing NaN.
         arg = max(p.phi - vbs, 0.01)
-        return vto + p.gamma * (math.sqrt(arg) - math.sqrt(p.phi))
+        return self._vto + p.gamma * (math.sqrt(arg) - self._sqrt_phi)
 
     def _forward(
         self, vgs: float, vds: float, vbs: float
-    ) -> Tuple[Region, float, float, float, float, float, float]:
+    ) -> Tuple[Region, float, float, float, float]:
         """NMOS-frame current and partials for ``vds >= 0``.
 
-        Returns (region, ids, d/dvgs, d/dvds, d/dvbs, vth, vdsat).
+        Returns (region, ids, d/dvgs, d/dvds, d/dvbs).
         """
         p = self.params
         vth = self.threshold(vbs)
@@ -204,7 +216,6 @@ class MosfetModel:
                 beta * (vov_eff - vds) * clm
                 + beta * (vov_eff - 0.5 * vds) * vds * lam
             )
-        vdsat = vov_eff
 
         # vth depends on vbs: dI/dvbs = d_vov * (-dvth/dvbs).  Inside the
         # forward-bias clamp of threshold() vth is constant, so the
@@ -213,45 +224,55 @@ class MosfetModel:
             dvth_dvbs = -p.gamma / (2.0 * math.sqrt(p.phi - vbs))
         else:
             dvth_dvbs = 0.0
-        d_vgs = d_vov
-        d_vbs = -d_vov * dvth_dvbs
-        return region, ids, d_vgs, d_vds, d_vbs, vth, vdsat
+        return region, ids, d_vov, d_vds, -d_vov * dvth_dvbs
 
     # ------------------------------------------------------------------
     # Public evaluation in the external frame
     # ------------------------------------------------------------------
-    def evaluate(self, vgs: float, vds: float, vbs: float) -> MosfetOperatingPoint:
-        """Evaluate current, signed conductances and capacitances at a bias
-        point given in the external (SPICE) frame."""
+    def evaluate(
+        self, vgs: float, vds: float, vbs: float
+    ) -> Tuple[float, float, float, float, Region]:
+        """What a Newton stamp reads at a bias point given in the
+        external (SPICE) frame: ``(ids, gm, gds, gmbs, region)``."""
         s = self._sign
         xvgs, xvds, xvbs = s * vgs, s * vds, s * vbs
+        if xvds >= 0.0:
+            region, i_n, du, dw, db = self._forward(xvgs, xvds, xvbs)
+            # PMOS reflection leaves derivative signs unchanged (s^2 = 1).
+            return s * i_n, du, dw, db, region
+        # I(vgs,vds,vbs) = -F(vgs-vds, -vds, vbs-vds) with F the forward
+        # function; chain rule gives the exact partials.
+        region, f, fu, fw, fb = self._forward(xvgs - xvds, -xvds, xvbs - xvds)
+        return s * -f, -fu, fu + fw + fb, -fb, region
 
+    def capacitances(
+        self, region: Region, vgs: float, vds: float, vbs: float
+    ) -> Tuple[float, float, float, float, float]:
+        """``(cgs, cgd, cgb, cbd, cbs)`` at an external-frame bias point
+        whose region :meth:`evaluate` returned: what AC and the
+        transient linearize, and what no Newton iterate reads."""
+        s = self._sign
+        xvds = s * vds
+        cgs, cgd, cgb = self._gate_capacitances(region)
+        cbd, cbs = self._junction_capacitances(xvds, s * vbs)
+        if xvds < 0.0:
+            return cgd, cgs, cgb, cbs, cbd
+        return cgs, cgd, cgb, cbd, cbs
+
+    def operating_point(
+        self, vgs: float, vds: float, vbs: float
+    ) -> MosfetOperatingPoint:
+        """The full operating point at an external-frame bias point:
+        :meth:`evaluate` and :meth:`capacitances` plus the threshold
+        and saturation voltage of the internal frame."""
+        ids, gm, gds, gmbs, region = self.evaluate(vgs, vds, vbs)
+        cgs, cgd, cgb, cbd, cbs = self.capacitances(region, vgs, vds, vbs)
+        s = self._sign
+        xvgs, xvds, xvbs = s * vgs, s * vds, s * vbs
         reversed_mode = xvds < 0.0
-        if not reversed_mode:
-            region, i_n, du, dw, dbv, vth, vdsat = self._forward(xvgs, xvds, xvbs)
-            ids_internal = i_n
-            g_vgs, g_vds, g_vbs = du, dw, dbv
-        else:
-            # I(vgs,vds,vbs) = -F(vgs-vds, -vds, vbs-vds) with F the forward
-            # function; chain rule gives the exact partials.
-            u, w, b = xvgs - xvds, -xvds, xvbs - xvds
-            region, f, fu, fw, fb, vth, vdsat = self._forward(u, w, b)
-            ids_internal = -f
-            g_vgs = -fu
-            g_vds = fu + fw + fb
-            g_vbs = -fb
-
-        # PMOS reflection leaves derivative signs unchanged (s^2 = 1).
-        ids = s * ids_internal
-
-        cgs, cgd, cgb = self._gate_capacitances(
-            region, xvgs if not reversed_mode else xvgs - xvds, xvds
-        )
-        cbd, cbs = self._junction_capacitances(xvds, xvbs)
         if reversed_mode:
-            cgs, cgd = cgd, cgs
-            cbd, cbs = cbs, cbd
-
+            xvgs, xvbs = xvgs - xvds, xvbs - xvds
+        vth = self.threshold(xvbs)
         return MosfetOperatingPoint(
             region=region,
             ids=ids,
@@ -259,10 +280,10 @@ class MosfetModel:
             vds=vds,
             vbs=vbs,
             vth=s * vth,
-            vdsat=vdsat,
-            gm=g_vgs,
-            gds=g_vds,
-            gmbs=g_vbs,
+            vdsat=_smooth_overdrive(xvgs - vth)[0],
+            gm=gm,
+            gds=gds,
+            gmbs=gmbs,
             cgs=cgs,
             cgd=cgd,
             cgb=cgb,
@@ -274,7 +295,7 @@ class MosfetModel:
     # ------------------------------------------------------------------
     # Capacitances
     # ------------------------------------------------------------------
-    def _gate_capacitances(self, region: Region, vgs: float, vds: float):
+    def _gate_capacitances(self, region: Region) -> Tuple[float, float, float]:
         """Meyer intrinsic caps plus overlaps, by region (internal frame)."""
         p = self.params
         c_ox = self._cox_area
@@ -295,21 +316,17 @@ class MosfetModel:
             cgb = c_ov_b
         return cgs, cgd, cgb
 
-    def _junction_capacitances(self, vds: float, vbs: float):
+    def _junction_capacitances(self, vds: float, vbs: float) -> Tuple[float, float]:
         """Reverse-biased drain/source junction caps (internal frame)."""
-        p = self.params
-        area = estimate_junction_area(self.width, self.drain_width)
-        perim = estimate_junction_perimeter(self.width, self.drain_width)
-        vbd = vbs - vds
+        pb = self.params.pb
+        c_zero = self._cj_zero_bias
 
         def depletion(vj: float) -> float:
             # Standard (1 - V/pb)^-1/2 with forward-bias clamping.
-            ratio = max(1.0 - vj / p.pb, 0.5)
+            ratio = max(1.0 - vj / pb, 0.5)
             return 1.0 / math.sqrt(ratio)
 
-        cbd = (p.cj * area + p.cjsw * perim) * depletion(vbd)
-        cbs = (p.cj * area + p.cjsw * perim) * depletion(vbs)
-        return cbd, cbs
+        return c_zero * depletion(vbs - vds), c_zero * depletion(vbs)
 
     # ------------------------------------------------------------------
     # Design-equation helpers (used by sizing plans)

@@ -29,9 +29,12 @@ several process corners solves as one batch
 (:func:`stacked_operating_points`), a single solve is a batch of one
 (:func:`newton_solve`), and so is a transient timestep.
 
-All MOSFET evaluations flow through :meth:`MnaSystem.assemble_dc_system`
-and :meth:`MnaSystem.assemble_dc_residual`, so the solver is
-model-agnostic.  The solver cooperates with the
+Every Newton iterate's device evaluations flow through
+:meth:`MnaSystem.assemble_dc_system` and
+:meth:`MnaSystem.assemble_dc_residual`, so the solver is model-agnostic;
+they return only the residual and Jacobian.  A converged solve asks the
+system for its device operating points once
+(:meth:`MnaSystem.package_result`).  The solver cooperates with the
 resilience layer: an ambient :class:`~repro.resilience.Budget` is
 charged per Newton iteration, and the ``dc.newton`` /
 ``dc.newton.nan`` fault points make every escalation path exercisable
@@ -99,7 +102,6 @@ class _Solved:
     """A converged rung outcome (pre-packaging)."""
 
     x: np.ndarray
-    device_ops: Dict[str, MosfetOperatingPoint]
     iterations: int
 
 
@@ -167,7 +169,7 @@ def newton_batch(
     n_nodes = systems[0].n_nodes
     xs = [x0.copy() for x0 in x0s]
     outcomes: List[Optional[NewtonOutcome]] = [None] * len(systems)
-    # Full assembly (residual, Jacobian, device ops) of each member's x.
+    # Full assembly (residual, Jacobian) of each member's x.
     assembled: List[Any] = [None] * len(systems)
     # Members whose last step failed the voltage test and still owes the
     # divergence streak the residual at the point it reached.
@@ -175,10 +177,10 @@ def newton_batch(
     growth_streaks = [0] * len(systems)
     last_norms = [np.inf] * len(systems)
 
-    def judge(i: int, residual: np.ndarray, device_ops, v_ok: bool, step: int) -> None:
+    def judge(i: int, residual: np.ndarray, v_ok: bool, step: int) -> None:
         """Settle member ``i``'s ``step`` from the residual at its new x."""
         if v_ok and (np.abs(residual[:n_nodes]) <= ITOL * 10 + 1e-9).all():
-            outcomes[i] = _Solved(xs[i], device_ops, step)
+            outcomes[i] = _Solved(xs[i], step)
             return
         if diverge_after is None:
             return
@@ -205,7 +207,7 @@ def newton_batch(
                     assembled[i] = systems[i].assemble_dc_system(
                         xs[i], gmin, source_scale
                     )
-                    judge(i, assembled[i][0], None, False, iteration - 1)
+                    judge(i, assembled[i][0], False, iteration - 1)
             active = [i for i in active if outcomes[i] is None]
             if not active:
                 break
@@ -217,8 +219,8 @@ def newton_batch(
                 for i in active
             ]
             deltas = _newton_updates(
-                [jacobian for _, jacobian, _ in batch],
-                [-residual for residual, _, _ in batch],
+                [jacobian for _, jacobian in batch],
+                [-residual for residual, _ in batch],
             )
             poisoned = (
                 any(not isinstance(d, np.linalg.LinAlgError) for d in deltas)
@@ -254,10 +256,10 @@ def newton_batch(
                 )
                 final = iteration == max_iterations
                 if v_ok or (final and diverge_after is not None):
-                    residual, device_ops = systems[i].assemble_dc_residual(
+                    residual = systems[i].assemble_dc_residual(
                         x, gmin, source_scale
                     )
-                    judge(i, residual, device_ops, v_ok, iteration)
+                    judge(i, residual, v_ok, iteration)
                 else:
                     unjudged[i] = diverge_after is not None
             active = [i for i in active if outcomes[i] is None]
@@ -303,7 +305,7 @@ def newton_solve(
     """One system's NR iteration: a :func:`newton_batch` of one.
 
     Returns:
-        (x, device_ops, iterations)
+        (x, iterations)
 
     Raises:
         ConvergenceError: if the iteration limit is reached, the
@@ -324,7 +326,7 @@ def newton_solve(
     )
     if isinstance(outcome, ConvergenceError):
         raise outcome
-    return outcome.x, outcome.device_ops, outcome.iterations
+    return outcome.x, outcome.iterations
 
 
 def _rung_settings(rung: str, max_iterations: int) -> Dict[str, Any]:
@@ -356,7 +358,7 @@ def build_dc_ladder(
 
     def newton_rung(rung: str) -> Callable[[Optional[BaseException]], _Solved]:
         def solve(last: Optional[BaseException]) -> _Solved:
-            x, ops, used = newton_solve(
+            x, used = newton_solve(
                 system,
                 x0,
                 1e-12,
@@ -365,7 +367,7 @@ def build_dc_ladder(
                 block=block,
                 **_rung_settings(rung, max_iterations),
             )
-            return _Solved(x, ops, used)
+            return _Solved(x, used)
 
         return solve
 
@@ -375,11 +377,11 @@ def build_dc_ladder(
         try:
             for exponent in range(3, 13):
                 gmin = 10.0 ** (-exponent)
-                x, ops, used = newton_solve(
+                x, used = newton_solve(
                     system, x, gmin, 1.0, max_iterations, budget=budget, block=block
                 )
                 total += used
-            x, ops, used = newton_solve(
+            x, used = newton_solve(
                 system, x, 1e-12, 1.0, max_iterations, budget=budget, block=block
             )
             total += used
@@ -389,14 +391,14 @@ def build_dc_ladder(
                 total + exc.iterations,
                 rung="gmin",
             ) from exc
-        return _Solved(x, ops, total)
+        return _Solved(x, total)
 
     def source_stepping(last: Optional[BaseException]) -> _Solved:
         x = x0.copy()
         total = 0
         try:
             for scale in np.linspace(0.1, 1.0, 19):
-                x, ops, used = newton_solve(
+                x, used = newton_solve(
                     system,
                     x,
                     1e-12,
@@ -413,7 +415,7 @@ def build_dc_ladder(
                 total + exc.iterations,
                 rung="source",
             ) from exc
-        return _Solved(x, ops, total)
+        return _Solved(x, total)
 
     def exhausted(trace: LadderTrace, last: BaseException) -> BaseException:
         return ConvergenceError(
@@ -686,9 +688,7 @@ def operating_point(
                 f"attempt {attempt.attempt}: {outcome} "
                 f"after {attempt.iterations} iterations",
             )
-    result = system.package_result(
-        solved.x, solved.device_ops, ladder_trace.total_iterations
-    )
+    result = system.package_result(solved.x, ladder_trace.total_iterations)
     if cache is not None:
         cache.put("op", op_key, _op_to_payload(result))
     return result
@@ -744,9 +744,7 @@ def stacked_operating_points(
         for label, system, outcome in zip(labels, systems, outcomes):
             if isinstance(outcome, _Solved):
                 _count_solve([(rung, outcome.iterations)])
-                results[label] = system.package_result(
-                    outcome.x, outcome.device_ops, outcome.iterations
-                )
+                results[label] = system.package_result(outcome.x, outcome.iterations)
         corner_span.set("batched", len(results))
         corner_span.set("fallback", len(labels) - len(results))
         metric_count("dc.corner_batch.solves", n=len(results))

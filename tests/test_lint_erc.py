@@ -122,7 +122,7 @@ class TestErcTriggers:
         # ERC104 fires exactly when the DC Jacobian (no gmin) is singular.
         c = from_spice(deck)
         system = MnaSystem(c, CMOS_5UM)
-        _, jacobian, _ = system.assemble_dc_system(np.zeros(system.size), 0.0)
+        _, jacobian = system.assemble_dc_system(np.zeros(system.size), 0.0)
         singular = bool(np.linalg.matrix_rank(jacobian) < system.size)
         report = lint_circuit(c)
         assert singular is floating

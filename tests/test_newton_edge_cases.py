@@ -38,20 +38,19 @@ class _FakeSystem:
 
     def assemble_dc_residual(self, x, gmin, source_scale):
         self.calls["residual"] += 1
-        residual, _, device_ops = self._assemble(x, gmin, source_scale)
-        return residual, device_ops
+        return self._assemble(x, gmin, source_scale)[0]
 
 
 def _cube_root_of_8(x, gmin, scale):
     """F = (x0**3 - 8, x1 - 1): converges in a handful of steps."""
     residual = np.array([x[0] ** 3 - 8.0, x[1] - 1.0])
-    return residual, np.diag([3.0 * x[0] ** 2, 1.0]), {}
+    return residual, np.diag([3.0 * x[0] ** 2, 1.0])
 
 
 class TestNewtonEdgeCases:
     def test_singular_jacobian_raises_convergence_error(self):
         def assemble(x, gmin, scale):
-            return np.ones(2), np.zeros((2, 2)), {}
+            return np.ones(2), np.zeros((2, 2))
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="singular Jacobian"):
@@ -59,7 +58,7 @@ class TestNewtonEdgeCases:
 
     def test_singular_jacobian_chains_linalg_error(self):
         def assemble(x, gmin, scale):
-            return np.ones(2), np.zeros((2, 2)), {}
+            return np.ones(2), np.zeros((2, 2))
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError) as excinfo:
@@ -69,7 +68,7 @@ class TestNewtonEdgeCases:
 
     def test_non_finite_update_raises(self):
         def assemble(x, gmin, scale):
-            return np.array([np.inf, 0.0]), np.eye(2), {}
+            return np.array([np.inf, 0.0]), np.eye(2)
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -77,7 +76,7 @@ class TestNewtonEdgeCases:
 
     def test_nan_residual_raises(self):
         def assemble(x, gmin, scale):
-            return np.array([np.nan, np.nan]), np.eye(2), {}
+            return np.array([np.nan, np.nan]), np.eye(2)
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="non-finite"):
@@ -90,7 +89,7 @@ class TestNewtonEdgeCases:
         assert system.calls == {"system": 0, "residual": 0}
 
     def test_zero_iteration_error_carries_zero_count(self):
-        system = _FakeSystem(lambda x, g, s: (np.zeros(2), np.eye(2), {}))
+        system = _FakeSystem(lambda x, g, s: (np.zeros(2), np.eye(2)))
         with pytest.raises(ConvergenceError) as excinfo:
             newton_solve(system, np.zeros(2), 1e-12, 1.0, max_iterations=0)
         assert excinfo.value.iterations == 0
@@ -102,7 +101,7 @@ class TestNewtonEdgeCases:
         check, for the step that converges."""
         system = _FakeSystem(_cube_root_of_8)
         budget = Budget(newton_iterations=100).start()
-        x, _, iterations = newton_solve(
+        x, iterations = newton_solve(
             system,
             np.ones(2),
             1e-12,
@@ -129,7 +128,7 @@ class TestNewtonEdgeCases:
             # Push the solution point further out each call; the
             # residual at the updated point keeps growing.
             r = np.array([10.0 * (1.0 + abs(float(x[0]))), 0.0])
-            return r, np.eye(2), {}
+            return r, np.eye(2)
 
         system = _FakeSystem(assemble)
         with pytest.raises(ConvergenceError, match="diverging") as excinfo:

@@ -9,9 +9,11 @@ import dataclasses
 
 import pytest
 
+import repro.opamp.verify as verify_module
 from repro import CMOS_5UM, OpAmpSpec, synthesize, verify_opamp
 from repro.cache import ResultCache, cache_scope, canonical_json
 from repro.circuit.netlist import Circuit
+from repro.devices import MosfetModel
 from repro.errors import ConvergenceError, SimulationError
 from repro.kb.trace import DesignTrace
 from repro.obs import Tracer
@@ -26,6 +28,7 @@ from repro.opamp.verify import (
 )
 from repro.resilience import inject
 from repro.simulator import MnaSystem, operating_point
+from repro.simulator import transient as transient_module
 from repro.simulator.dc import _op_to_payload
 from repro.simulator.analysis import crossover_frequency
 from repro.simulator.transient import step_waveform, transient_analysis
@@ -250,6 +253,69 @@ class TestOneBuildPerTestbench:
         )
         assert again.total_power() == first.total_power()
         assert again.source_voltages["vin"] == 0.01
+
+
+class TestDeviceWorkPerVerify:
+    """Newton iterates read only what they stamp (``evaluate``); each
+    converged DC solve builds its devices' full operating points once;
+    a transient timestep reads capacitances and builds none."""
+
+    @pytest.mark.parametrize(
+        "case, newton_evaluations, op_builds",
+        [
+            ("amp_a", 13_700, 600),
+            ("amp_b", 13_392, 544),
+            ("amp_c", 37_136, 1_104),
+        ],
+    )
+    def test_counted_device_work(
+        self, request, monkeypatch, case, newton_evaluations, op_builds
+    ):
+        amp = request.getfixturevalue(case)
+        calls = {"evaluate": 0, "operating_point": 0, "timesteps": 0, "in_loop": 0}
+        inside = {"operating_point": False, "loop": False}
+        evaluate = MosfetModel.evaluate
+        build = MosfetModel.operating_point
+        begin_step = transient_module._CompanionBank.begin_step
+        transient = verify_module.transient_analysis
+
+        def counting_evaluate(self, *args):
+            calls["evaluate"] += not inside["operating_point"]
+            return evaluate(self, *args)
+
+        def counting_build(self, *args):
+            calls["operating_point"] += 1
+            calls["in_loop"] += inside["loop"]
+            inside["operating_point"] = True
+            try:
+                return build(self, *args)
+            finally:
+                inside["operating_point"] = False
+
+        def counting_step(self, h):
+            calls["timesteps"] += 1
+            inside["loop"] = True
+            begin_step(self, h)
+
+        def bounded_transient(*args, **kwargs):
+            try:
+                return transient(*args, **kwargs)
+            finally:
+                inside["loop"] = False
+
+        monkeypatch.setattr(MosfetModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(MosfetModel, "operating_point", counting_build)
+        monkeypatch.setattr(
+            transient_module._CompanionBank, "begin_step", counting_step
+        )
+        monkeypatch.setattr(verify_module, "transient_analysis", bounded_transient)
+        verify_opamp(amp)
+        assert calls == {
+            "evaluate": newton_evaluations,
+            "operating_point": op_builds,
+            "timesteps": 600,
+            "in_loop": 0,
+        }
 
 
 class TestFaultedTimestep:
