@@ -28,8 +28,7 @@ CLI use: ``repro batch --testcase A --sweep gain=60:80:5 --jobs 4
 
 Importing the package loads no submodule: each exported name imports
 the submodule that defines it on first use, so building and running a
-grid loads no simulator until a task verifies or a caller asks for
-:func:`~repro.batch.corners.corner_operating_points`.
+grid loads no simulator until a task verifies.
 """
 
 from importlib import import_module
@@ -51,7 +50,6 @@ _EXPORTS = {
     "run_batch": ".engine",
     "synthesize_many": ".engine",
     "default_jobs": ".engine",
-    "corner_operating_points": ".corners",
 }
 
 

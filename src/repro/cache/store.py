@@ -47,7 +47,7 @@ try:  # advisory file locking is POSIX-only; Windows degrades gracefully
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-import numpy as np
-
 from ..circuit.builder import CircuitBuilder
 from ..circuit.netlist import Circuit
 from ..errors import SynthesisError
@@ -42,7 +40,7 @@ from ..kb.plans import DesignState, Plan, PlanExecutor, PlanStep
 from ..kb.specs import OpAmpSpec
 from ..kb.trace import DesignTrace
 from ..process.parameters import ProcessParameters
-from ..simulator.ac import ac_analysis, log_frequencies
+from ..simulator.ac import ac_analysis
 from ..simulator.dc import operating_point
 from ..subblocks import (
     BiasSpec,

@@ -1,4 +1,4 @@
-"""Resilience layer: budgets, retry ladders, failure taxonomy, faults.
+"""Resilience layer: budgets, failure taxonomy, faults.
 
 OASYS is built around *predictable failure* -- rules detect failure
 modes mid-plan and patch or restart, and style selection survives one
@@ -11,9 +11,6 @@ inputs, solver divergence, and outright bugs:
   per-style and per-synthesis wall-clock and iteration budgets,
   checked cooperatively throughout the stack
   (:mod:`repro.resilience.budget`);
-* :class:`RetryLadder` / :class:`Rung` -- the declarative escalation
-  engine behind the DC solver's homotopy cascade
-  (:mod:`repro.resilience.ladder`);
 * :class:`FailureReport` / :class:`FailureKind` -- the structured
   failure taxonomy (convergence / budget / plan / internal) that
   ``synthesize(best_effort=True)`` returns instead of raising
@@ -22,6 +19,10 @@ inputs, solver divergence, and outright bugs:
   injection at named sites, so every failure path above is
   exercisable in tests and chaos CI
   (:mod:`repro.resilience.faults`).
+
+The DC solver's retry ladder (plain -> damped -> gmin -> source) is
+not here: it is a fixed four-rung loop in :mod:`repro.simulator.dc`,
+which charges these budgets and visits these fault points.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .faults import (
     register_fault_site,
     registered_sites,
 )
-from .ladder import LadderExhausted, LadderTrace, RetryLadder, Rung, RungAttempt
 from .reports import FailureKind, FailureReport, classify_exception
 
 __all__ = [
@@ -56,11 +56,6 @@ __all__ = [
     "iter_chaos_sites",
     "register_fault_site",
     "registered_sites",
-    "LadderExhausted",
-    "LadderTrace",
-    "RetryLadder",
-    "Rung",
-    "RungAttempt",
     "FailureKind",
     "FailureReport",
     "classify_exception",

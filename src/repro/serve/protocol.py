@@ -31,7 +31,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError, ServeError, SpecificationError
 from ..kb.specs import OpAmpSpec

@@ -15,7 +15,7 @@ models, providing
 """
 
 from .mna import MnaSystem, OperatingPointResult
-from .dc import operating_point, stacked_operating_points
+from .dc import operating_point
 from .ac import ACResult, ac_analysis
 from .noise import NoiseResult, noise_analysis
 from .op_report import op_report
@@ -35,7 +35,6 @@ __all__ = [
     "MnaSystem",
     "OperatingPointResult",
     "operating_point",
-    "stacked_operating_points",
     "ACResult",
     "ac_analysis",
     "NoiseResult",

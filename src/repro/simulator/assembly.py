@@ -58,15 +58,11 @@ def with_ground(x: np.ndarray) -> np.ndarray:
 
 
 def solve_linear(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``jacobian @ delta = rhs`` with ``np.linalg.solve``.
-
-    A ``(B, n, n)`` stack with ``(B, n)`` right-hand sides solves as one
-    call (one LU per member).  A singular matrix raises
+    """Solve one Newton step ``jacobian @ delta = rhs`` with
+    ``np.linalg.solve``.  A singular matrix raises
     :class:`numpy.linalg.LinAlgError`, the one failure its caller,
-    ``newton_batch``, catches.
+    :func:`~repro.simulator.dc.newton_solve`, catches.
     """
-    if jacobian.ndim == 3:
-        return np.linalg.solve(jacobian, rhs[..., None])[..., 0]
     return np.linalg.solve(jacobian, rhs)
 
 

@@ -1,14 +1,13 @@
 """DC operating-point solver: damped Newton-Raphson with homotopy.
 
-The solve strategy mirrors SPICE2 practice, formalized as a declarative
-:class:`~repro.resilience.RetryLadder` (see
-:func:`build_dc_ladder`):
+The solve strategy mirrors SPICE2 practice: a fixed escalation over
+four rungs, cheapest first (:data:`_RUNGS`):
 
 1. *plain* Newton-Raphson from the initial guess, undamped, with a
    short iteration cap and early divergence bail -- the cheap
    quadratic-convergence path for *warm* starts (sweep continuation,
    transient restarts).  From a cold flat start undamped NR mostly
-   oscillates, so :func:`operating_point` drops this rung unless an
+   oscillates, so :func:`operating_point` skips this rung unless an
    initial guess was supplied;
 2. *damped* Newton-Raphson: per-iteration voltage-step limiting;
 3. on failure, *gmin stepping*: converge with a large gmin shunt on
@@ -17,18 +16,16 @@ The solve strategy mirrors SPICE2 practice, formalized as a declarative
 4. on failure, *source stepping*: ramp all independent sources from 0
    to 100 % in increments, converging at each level.
 
-Each rung's failure is chained (``raise ... from``) into the next, the
+Only a :class:`~repro.errors.ConvergenceError` moves the solve to the
+next rung; anything else (a budget trip, a bug) propagates at once.
+Each rung's failure is chained (``__cause__``) into the next, the
 terminal :class:`~repro.errors.ConvergenceError` carries the
 *cumulative* iteration count across every rung, and the full
 escalation history can be recorded into a
 :class:`~repro.kb.trace.DesignTrace`.
 
-The Newton iteration itself (:func:`newton_batch`) is the simulator's
-one Newton loop.  It runs over a batch of systems -- one circuit on
-several process corners solves as one batch
-(:func:`stacked_operating_points`), a single solve is a batch of one
-(:func:`newton_solve`), and so is a transient timestep.
-
+The Newton iteration itself (:func:`newton_solve`) is the simulator's
+one Newton loop: every rung runs it, and so does a transient timestep.
 Every Newton iterate's device evaluations flow through
 :meth:`MnaSystem.assemble_dc_system` and
 :meth:`MnaSystem.assemble_dc_residual`, so the solver is model-agnostic;
@@ -44,7 +41,6 @@ in tests (see :mod:`repro.resilience.faults`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -53,7 +49,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -65,23 +60,22 @@ from ..circuit.netlist import Circuit
 from ..devices.mosfet import MosfetOperatingPoint, Region
 from ..errors import ConvergenceError, SimulationError
 from ..kb.trace import DesignTrace
+from ..obs.log import get_logger
 from ..obs.metrics import LATENCY_BUCKETS_MS
 from ..obs.spans import count as metric_count
 from ..obs.spans import observe as metric_observe
 from ..obs.spans import span as obs_span
 from ..process.parameters import ProcessParameters
-from ..resilience import Budget, LadderTrace, RetryLadder, Rung, current_budget
+from ..resilience import Budget, current_budget
 from ..resilience.faults import fault_point
 from .assembly import solve_linear
-from .mna import MnaSystem, MosfetOperatingPoint, OperatingPointResult
+from .mna import MnaSystem, OperatingPointResult
 
-__all__ = [
-    "operating_point",
-    "stacked_operating_points",
-    "newton_solve",
-    "newton_batch",
-    "build_dc_ladder",
-]
+__all__ = ["operating_point", "newton_solve"]
+
+#: The ladder's ``ladder.rung_failed`` lines keep the resilience
+#: layer's logger name, which log consumers filter on.
+_log = get_logger("resilience")
 
 #: Absolute voltage tolerance, volts.
 VTOL = 1e-9
@@ -97,200 +91,6 @@ PLAIN_ITERATION_CAP = 25
 DIVERGE_AFTER = 5
 
 
-@dataclass
-class _Solved:
-    """A converged rung outcome (pre-packaging)."""
-
-    x: np.ndarray
-    iterations: int
-
-
-#: One batch member's Newton outcome: its converged state or its failure.
-NewtonOutcome = Union[_Solved, ConvergenceError]
-
-
-def newton_batch(
-    systems: Sequence[MnaSystem],
-    x0s: Sequence[np.ndarray],
-    gmin: float,
-    source_scale: float,
-    max_iterations: int = 150,
-    max_step: Optional[float] = MAX_STEP,
-    diverge_after: Optional[int] = None,
-    budget: Optional[Budget] = None,
-    block: str = "dc",
-) -> List[NewtonOutcome]:
-    """(Optionally damped) NR iteration at fixed gmin / source level over
-    a batch of same-size systems.
-
-    Every member iterates on its own -- its own damping, convergence
-    test and divergence streak -- but a dense batch shares one stacked
-    LU call per iteration.  A member that converges or fails leaves the
-    batch and the others carry on, so each member takes exactly the
-    trajectory it would take alone.  A batch of one is
-    :func:`newton_solve`.
-
-    Each iterate x_k is assembled once.  Step k converges when its
-    voltage move is within ``VTOL + RELTOL*|x|`` and the KCL residual at
-    x_k within ``ITOL``.  A step that passes the voltage test is
-    confirmed by :meth:`MnaSystem.assemble_dc_residual` alone; any
-    other step is judged by the residual of the full assembly of x_k,
-    whose Jacobian then takes step k+1.
-
-    Args:
-        systems: one or more systems of equal size (e.g. one circuit on
-            several process corners).
-        x0s: start vector per member.
-        max_step: largest voltage move per iteration (None = undamped).
-        diverge_after: a member bails out after this many *consecutive*
-            iterations of growing residual norm (None = never; used by
-            the cheap plain rung so divergence fails fast).
-        budget: explicit iteration/wall budget, charged one iteration
-            per active member before its step; when None the ambient
-            budget installed by :meth:`repro.resilience.Budget.active`
-            is charged instead, so a synthesis-level deadline reaches
-            this inner loop without parameter threading.
-        block: context for budget errors.
-
-    Returns:
-        One outcome per member, in order: its converged state, or the
-        :class:`ConvergenceError` it failed with (iteration limit,
-        numerically singular Jacobian, non-finite update, divergence).
-
-    Raises:
-        BudgetExceeded: when the governing budget trips mid-iteration.
-    """
-    try:
-        fault_point("dc.newton")
-    except ConvergenceError as exc:
-        return [exc] * len(systems)
-    if budget is None:
-        budget = current_budget()
-    n_nodes = systems[0].n_nodes
-    xs = [x0.copy() for x0 in x0s]
-    outcomes: List[Optional[NewtonOutcome]] = [None] * len(systems)
-    # Full assembly (residual, Jacobian) of each member's x.
-    assembled: List[Any] = [None] * len(systems)
-    # Members whose last step failed the voltage test and still owes the
-    # divergence streak the residual at the point it reached.
-    unjudged = [False] * len(systems)
-    growth_streaks = [0] * len(systems)
-    last_norms = [np.inf] * len(systems)
-
-    def judge(i: int, residual: np.ndarray, v_ok: bool, step: int) -> None:
-        """Settle member ``i``'s ``step`` from the residual at its new x."""
-        if v_ok and (np.abs(residual[:n_nodes]) <= ITOL * 10 + 1e-9).all():
-            outcomes[i] = _Solved(xs[i], step)
-            return
-        if diverge_after is None:
-            return
-        norm = float(np.max(np.abs(residual[:n_nodes]))) if n_nodes else 0.0
-        if not np.isfinite(norm) or norm > last_norms[i]:
-            growth_streaks[i] += 1
-            if growth_streaks[i] >= diverge_after:
-                outcomes[i] = ConvergenceError(
-                    f"diverging: residual grew "
-                    f"{growth_streaks[i]} iterations in a row",
-                    step,
-                )
-        else:
-            growth_streaks[i] = 0
-        if np.isfinite(norm):
-            last_norms[i] = norm
-
-    active = list(range(len(systems)))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for iteration in range(1, max_iterations + 1):
-            for i in active:
-                if unjudged[i]:
-                    unjudged[i] = False
-                    assembled[i] = systems[i].assemble_dc_system(
-                        xs[i], gmin, source_scale
-                    )
-                    judge(i, assembled[i][0], False, iteration - 1)
-            active = [i for i in active if outcomes[i] is None]
-            if not active:
-                break
-            if budget is not None:
-                budget.charge_newton(len(active), block=block, step="newton")
-            batch = [
-                assembled[i]
-                or systems[i].assemble_dc_system(xs[i], gmin, source_scale)
-                for i in active
-            ]
-            deltas = _newton_updates(
-                [jacobian for _, jacobian in batch],
-                [-residual for residual, _ in batch],
-            )
-            poisoned = (
-                any(not isinstance(d, np.linalg.LinAlgError) for d in deltas)
-                and fault_point("dc.newton.nan") is not None
-            )
-            for i, delta in zip(active, deltas):
-                if isinstance(delta, np.linalg.LinAlgError):
-                    failure = ConvergenceError(
-                        f"singular Jacobian: {delta}", iteration
-                    )
-                    failure.__cause__ = delta
-                    outcomes[i] = failure
-                    continue
-                if poisoned:
-                    delta = delta * np.nan
-                if not np.isfinite(delta).all():
-                    outcomes[i] = ConvergenceError(
-                        "non-finite Newton update", iteration
-                    )
-                    continue
-
-                # Damp: limit the largest voltage move per iteration.
-                worst = np.abs(delta[:n_nodes]).max() if n_nodes else 0.0
-                if max_step is not None and worst > max_step:
-                    delta = delta * (max_step / worst)
-                x = xs[i] = xs[i] + delta
-                assembled[i] = None
-                v_ok = bool(
-                    (
-                        np.abs(delta[:n_nodes])
-                        <= VTOL + RELTOL * np.abs(x[:n_nodes])
-                    ).all()
-                )
-                final = iteration == max_iterations
-                if v_ok or (final and diverge_after is not None):
-                    residual = systems[i].assemble_dc_residual(
-                        x, gmin, source_scale
-                    )
-                    judge(i, residual, v_ok, iteration)
-                else:
-                    unjudged[i] = diverge_after is not None
-            active = [i for i in active if outcomes[i] is None]
-    for i in active:
-        outcomes[i] = ConvergenceError(
-            f"no convergence in {max_iterations} NR iterations "
-            f"(gmin={gmin:g}, scale={source_scale:g})",
-            max_iterations,
-        )
-    return outcomes  # type: ignore[return-value]
-
-
-def _newton_updates(
-    jacobians: List[np.ndarray], rhs: List[np.ndarray]
-) -> List[Union[np.ndarray, np.linalg.LinAlgError]]:
-    """Solve each member's Newton system, a batch as one stacked LU
-    call.  A member whose solve fails gets its error instead."""
-    if len(jacobians) > 1:
-        try:
-            return list(solve_linear(np.stack(jacobians), np.stack(rhs)))
-        except np.linalg.LinAlgError:
-            pass  # some member is singular: solve one by one to find it
-    updates: List[Union[np.ndarray, np.linalg.LinAlgError]] = []
-    for jacobian, b in zip(jacobians, rhs):
-        try:
-            updates.append(solve_linear(jacobian, b))
-        except np.linalg.LinAlgError as exc:
-            updates.append(exc)
-    return updates
-
-
 def newton_solve(
     system: MnaSystem,
     x0: np.ndarray,
@@ -301,141 +101,288 @@ def newton_solve(
     diverge_after: Optional[int] = None,
     budget: Optional[Budget] = None,
     block: str = "dc",
-):
-    """One system's NR iteration: a :func:`newton_batch` of one.
+) -> Tuple[np.ndarray, int]:
+    """(Optionally damped) NR iteration at fixed gmin / source level.
+
+    Each iterate x_k is assembled once.  Step k converges when its
+    voltage move is within ``VTOL + RELTOL*|x|`` and the KCL residual at
+    x_k within ``ITOL``.  A step that passes the voltage test is
+    confirmed by :meth:`MnaSystem.assemble_dc_residual` alone; any
+    other step is judged by the residual of the full assembly of x_k,
+    whose Jacobian then takes step k+1.
+
+    Args:
+        system: the system to solve (an :class:`MnaSystem`, or anything
+            with its ``n_nodes`` and two DC assemblies).
+        x0: start vector (not modified).
+        max_step: largest voltage move per iteration (None = undamped).
+        diverge_after: bail out after this many *consecutive*
+            iterations of growing residual norm (None = never; used by
+            the cheap plain rung so divergence fails fast).
+        budget: explicit iteration/wall budget, charged one iteration
+            before each step; when None the ambient budget installed by
+            :meth:`repro.resilience.Budget.active` is charged instead,
+            so a synthesis-level deadline reaches this inner loop
+            without parameter threading.
+        block: context for budget errors.
 
     Returns:
         (x, iterations)
 
     Raises:
         ConvergenceError: if the iteration limit is reached, the
-            Jacobian is numerically singular, or the update goes
-            non-finite.
+            Jacobian is numerically singular, the update goes
+            non-finite or the residual diverges.
         BudgetExceeded: when the governing budget trips mid-iteration.
     """
-    (outcome,) = newton_batch(
-        [system],
-        [x0],
-        gmin,
-        source_scale,
+    fault_point("dc.newton")
+    if budget is None:
+        budget = current_budget()
+    n_nodes = system.n_nodes
+    x = x0.copy()
+    # Full assembly (residual, Jacobian) of x, when taken.
+    assembled: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # The last step failed the voltage test and still owes the
+    # divergence streak the residual at the point it reached.
+    unjudged = False
+    growth_streak = 0
+    last_norm = np.inf
+
+    def judge(residual: np.ndarray, v_ok: bool, step: int) -> bool:
+        """Settle ``step`` from the residual at the new x: True when it
+        converged; raises once the residual has grown too long."""
+        nonlocal growth_streak, last_norm
+        if v_ok and (np.abs(residual[:n_nodes]) <= ITOL * 10 + 1e-9).all():
+            return True
+        if diverge_after is None:
+            return False
+        norm = float(np.max(np.abs(residual[:n_nodes]))) if n_nodes else 0.0
+        if not np.isfinite(norm) or norm > last_norm:
+            growth_streak += 1
+            if growth_streak >= diverge_after:
+                raise ConvergenceError(
+                    f"diverging: residual grew "
+                    f"{growth_streak} iterations in a row",
+                    step,
+                )
+        else:
+            growth_streak = 0
+        if np.isfinite(norm):
+            last_norm = norm
+        return False
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for iteration in range(1, max_iterations + 1):
+            if unjudged:
+                unjudged = False
+                assembled = system.assemble_dc_system(x, gmin, source_scale)
+                judge(assembled[0], False, iteration - 1)
+            if budget is not None:
+                budget.charge_newton(1, block=block, step="newton")
+            residual, jacobian = assembled or system.assemble_dc_system(
+                x, gmin, source_scale
+            )
+            try:
+                delta = solve_linear(jacobian, -residual)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(
+                    f"singular Jacobian: {exc}", iteration
+                ) from exc
+            if fault_point("dc.newton.nan") is not None:
+                delta = delta * np.nan
+            if not np.isfinite(delta).all():
+                raise ConvergenceError("non-finite Newton update", iteration)
+
+            # Damp: limit the largest voltage move per iteration.
+            worst = np.abs(delta[:n_nodes]).max() if n_nodes else 0.0
+            if max_step is not None and worst > max_step:
+                delta = delta * (max_step / worst)
+            x = x + delta
+            assembled = None
+            v_ok = bool(
+                (np.abs(delta[:n_nodes]) <= VTOL + RELTOL * np.abs(x[:n_nodes])).all()
+            )
+            final = iteration == max_iterations
+            if v_ok or (final and diverge_after is not None):
+                residual = system.assemble_dc_residual(x, gmin, source_scale)
+                if judge(residual, v_ok, iteration):
+                    return x, iteration
+            else:
+                unjudged = diverge_after is not None
+    raise ConvergenceError(
+        f"no convergence in {max_iterations} NR iterations "
+        f"(gmin={gmin:g}, scale={source_scale:g})",
         max_iterations,
-        max_step=max_step,
-        diverge_after=diverge_after,
-        budget=budget,
-        block=block,
     )
-    if isinstance(outcome, ConvergenceError):
-        raise outcome
-    return outcome.x, outcome.iterations
 
 
-def _rung_settings(rung: str, max_iterations: int) -> Dict[str, Any]:
-    """Newton settings of the ``plain`` (undamped, short cap, early
-    divergence bail) and ``damped`` ladder rungs."""
-    if rung == "plain":
-        return {
-            "max_iterations": min(max_iterations, PLAIN_ITERATION_CAP),
-            "max_step": None,
-            "diverge_after": DIVERGE_AFTER,
-        }
-    return {"max_iterations": max_iterations}
-
-
-def build_dc_ladder(
+# ----------------------------------------------------------------------
+# The escalation: four rungs, cheapest first
+# ----------------------------------------------------------------------
+def _plain(
     system: MnaSystem,
     x0: np.ndarray,
-    max_iterations: int = 150,
-    budget: Optional[Budget] = None,
-    block: str = "dc",
-) -> RetryLadder:
-    """The default DC escalation ladder over ``system``.
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+) -> Tuple[np.ndarray, int]:
+    """Undamped NR with a short cap and an early divergence bail."""
+    return newton_solve(
+        system, x0, 1e-12, 1.0, min(max_iterations, PLAIN_ITERATION_CAP),
+        max_step=None, diverge_after=DIVERGE_AFTER, budget=budget, block=block,
+    )
 
-    Declarative and extensible: callers may take the returned ladder
-    and :meth:`~repro.resilience.RetryLadder.extended` /
-    :meth:`~repro.resilience.RetryLadder.without` it, or supply their
-    own via ``operating_point(..., ladder_factory=...)``.
-    """
 
-    def newton_rung(rung: str) -> Callable[[Optional[BaseException]], _Solved]:
-        def solve(last: Optional[BaseException]) -> _Solved:
+def _damped(
+    system: MnaSystem,
+    x0: np.ndarray,
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+) -> Tuple[np.ndarray, int]:
+    """Step-limited NR."""
+    return newton_solve(
+        system, x0, 1e-12, 1.0, max_iterations, budget=budget, block=block
+    )
+
+
+def _gmin_stepping(
+    system: MnaSystem,
+    x0: np.ndarray,
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+) -> Tuple[np.ndarray, int]:
+    """gmin homotopy: 1 mS on every node, relaxed a decade at a time."""
+    x = x0
+    total = 0
+    try:
+        for exponent in range(3, 13):
+            gmin = 10.0 ** (-exponent)
             x, used = newton_solve(
-                system,
-                x0,
-                1e-12,
-                1.0,
-                budget=budget,
-                block=block,
-                **_rung_settings(rung, max_iterations),
-            )
-            return _Solved(x, used)
-
-        return solve
-
-    def gmin_stepping(last: Optional[BaseException]) -> _Solved:
-        x = x0.copy()
-        total = 0
-        try:
-            for exponent in range(3, 13):
-                gmin = 10.0 ** (-exponent)
-                x, used = newton_solve(
-                    system, x, gmin, 1.0, max_iterations, budget=budget, block=block
-                )
-                total += used
-            x, used = newton_solve(
-                system, x, 1e-12, 1.0, max_iterations, budget=budget, block=block
+                system, x, gmin, 1.0, max_iterations, budget=budget, block=block
             )
             total += used
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"gmin stepping stalled at gmin={gmin:g}: {exc}",
-                total + exc.iterations,
-                rung="gmin",
-            ) from exc
-        return _Solved(x, total)
-
-    def source_stepping(last: Optional[BaseException]) -> _Solved:
-        x = x0.copy()
-        total = 0
-        try:
-            for scale in np.linspace(0.1, 1.0, 19):
-                x, used = newton_solve(
-                    system,
-                    x,
-                    1e-12,
-                    float(scale),
-                    max_iterations,
-                    budget=budget,
-                    block=block,
-                )
-                total += used
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"source stepping stalled at {float(scale) * 100:.0f} % "
-                f"drive: {exc}",
-                total + exc.iterations,
-                rung="source",
-            ) from exc
-        return _Solved(x, total)
-
-    def exhausted(trace: LadderTrace, last: BaseException) -> BaseException:
-        return ConvergenceError(
-            f"{block}: DC operating point failed after "
-            f"{' -> '.join(trace.rungs_tried)} "
-            f"({trace.total_iterations} total iterations): {last}",
-            trace.total_iterations,
-            rung=trace.attempts[-1].rung if trace.attempts else "",
+        x, used = newton_solve(
+            system, x, 1e-12, 1.0, max_iterations, budget=budget, block=block
         )
+        total += used
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"gmin stepping stalled at gmin={gmin:g}: {exc}",
+            total + exc.iterations,
+            rung="gmin",
+        ) from exc
+    return x, total
 
-    return RetryLadder(
-        rungs=(
-            Rung("plain", newton_rung("plain"), description="undamped NR, short cap"),
-            Rung("damped", newton_rung("damped"), description="step-limited NR"),
-            Rung("gmin", gmin_stepping, description="gmin homotopy"),
-            Rung("source", source_stepping, description="source ramp homotopy"),
-        ),
-        retry_on=(ConvergenceError,),
-        exhausted=exhausted,
-    )
+
+def _source_stepping(
+    system: MnaSystem,
+    x0: np.ndarray,
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+) -> Tuple[np.ndarray, int]:
+    """Source homotopy: every independent source ramped 10 % -> 100 %."""
+    x = x0
+    total = 0
+    try:
+        for scale in np.linspace(0.1, 1.0, 19):
+            x, used = newton_solve(
+                system, x, 1e-12, float(scale), max_iterations,
+                budget=budget, block=block,
+            )
+            total += used
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"source stepping stalled at {float(scale) * 100:.0f} % "
+            f"drive: {exc}",
+            total + exc.iterations,
+            rung="source",
+        ) from exc
+    return x, total
+
+
+_Strategy = Callable[
+    [MnaSystem, np.ndarray, int, Optional[Budget], str], Tuple[np.ndarray, int]
+]
+
+#: The DC escalation, cheapest first: (name, strategy).  A strategy is
+#: called as ``strategy(system, x0, max_iterations, budget, block)`` and
+#: returns ``(x, iterations)`` or raises :class:`ConvergenceError`.  A
+#: new rung is one more entry here.
+_RUNGS = (
+    ("plain", _plain),
+    ("damped", _damped),
+    ("gmin", _gmin_stepping),
+    ("source", _source_stepping),
+)
+
+#: One rung's attempt: (rung, iterations, error text or None if it converged).
+_Attempt = Tuple[str, int, Optional[str]]
+
+
+def _climb(
+    rungs: Iterable[Tuple[str, _Strategy]],
+    system: MnaSystem,
+    x0: np.ndarray,
+    max_iterations: int,
+    budget: Optional[Budget],
+    block: str,
+) -> Tuple[np.ndarray, List[_Attempt]]:
+    """Run ``rungs`` in order until one converges.
+
+    Returns the converged x and every attempt made.  Only a
+    :class:`ConvergenceError` moves on to the next rung; it is chained
+    to the previous rung's unless it already has a cause.  When every
+    rung fails, the terminal error counts every attempt's iterations
+    and is raised from the last rung's.
+    """
+    attempts: List[_Attempt] = []
+    last_error: Optional[ConvergenceError] = None
+    for name, strategy in rungs:
+        began = time.monotonic()
+        error: Optional[ConvergenceError] = None
+        try:
+            # Each rung runs once; ``attempt`` stays in the span, the log
+            # line and the trace text for their readers.
+            with obs_span(f"rung:{name}", category="ladder", rung=name, attempt=1):
+                x, iterations = strategy(system, x0, max_iterations, budget, block)
+        except ConvergenceError as exc:
+            if last_error is not None and exc.__cause__ is None:
+                exc.__cause__ = last_error
+            last_error = error = exc
+            iterations = int(exc.iterations or 0)
+        elapsed_ms = (time.monotonic() - began) * 1e3
+        attempts.append((name, iterations, None if error is None else str(error)))
+        metric_count(
+            "ladder.attempts", rung=name, outcome="ok" if error is None else "failed"
+        )
+        metric_observe(
+            "ladder.rung_ms", elapsed_ms, bounds=LATENCY_BUCKETS_MS, rung=name
+        )
+        if error is not None:
+            _log.warning(
+                "ladder.rung_failed",
+                rung=name,
+                attempt=1,
+                iterations=iterations,
+                elapsed_ms=round(elapsed_ms, 3),
+                error=str(error),
+            )
+        if iterations:
+            metric_count("ladder.iterations", n=iterations, rung=name)
+        if error is None:
+            return x, attempts
+    assert last_error is not None  # at least one rung ran
+    total = sum(iterations for _, iterations, _ in attempts)
+    raise ConvergenceError(
+        f"{block}: DC operating point failed after "
+        f"{' -> '.join(name for name, _, _ in attempts)} "
+        f"({total} total iterations): {last_error}",
+        total,
+        rung=attempts[-1][0],
+    ) from last_error
 
 
 # ----------------------------------------------------------------------
@@ -550,16 +497,16 @@ def _initial_vector(
     return x0
 
 
-def _count_solve(attempts: Iterable[Tuple[str, int]]) -> None:
-    """Counters of one converged solve, from its (rung, iterations)
-    attempts: one LU factor-and-solve per Newton iteration."""
-    attempts = list(attempts)
-    total = sum(iterations for _, iterations in attempts)
+def _count_solve(attempts: List[_Attempt]) -> int:
+    """Count one converged solve from its attempts (one LU
+    factor-and-solve per Newton iteration); returns its iterations."""
+    total = sum(iterations for _, iterations, _ in attempts)
     metric_count("dc.solves")
     metric_count("dc.lu_solves", n=total)
     metric_observe("dc.iterations_per_solve", total)
-    for rung, iterations in attempts:
+    for rung, iterations, _ in attempts:
         metric_count("dc.newton.iterations", n=iterations, rung=rung)
+    return total
 
 
 def operating_point(
@@ -570,9 +517,6 @@ def operating_point(
     vth_shifts: Optional[Dict[str, float]] = None,
     budget: Optional[Budget] = None,
     trace: Optional[DesignTrace] = None,
-    ladder_factory: Optional[
-        Callable[[MnaSystem, np.ndarray, int, Optional[Budget], str], RetryLadder]
-    ] = None,
     source_values: Optional[Mapping[str, float]] = None,
 ) -> OperatingPointResult:
     """Solve the DC operating point of ``circuit``.
@@ -591,9 +535,6 @@ def operating_point(
             iteration; defaults to the ambient budget, if any.
         trace: optional design trace; the ladder escalation history is
             recorded into it as ``ladder`` events.
-        ladder_factory: override the escalation ladder (defaults to
-            :func:`build_dc_ladder`); called as
-            ``factory(system, x0, max_iterations, budget, block)``.
         source_values: independent-source values of this solve, name ->
             volts or amps (see :meth:`MnaSystem.set_source_values`).
 
@@ -622,9 +563,8 @@ def operating_point(
 
     # Deterministic memoization: with an ambient ResultCache, identical
     # (netlist, process, guess, mismatch) solves are answered from the
-    # cache.  Custom ladder factories opt out -- they exist precisely to
-    # observe the solve, not just its answer.
-    cache = current_cache() if ladder_factory is None else None
+    # cache.
+    cache = current_cache()
     op_key = ""
     if cache is not None:
         op_key = _op_cache_key(
@@ -642,20 +582,19 @@ def operating_point(
     x0 = _initial_vector(system, initial_guess)
 
     block = f"dc/{circuit.name}"
-    factory = ladder_factory or build_dc_ladder
-    ladder = factory(system, x0, max_iterations, budget, block)
-    if ladder_factory is None and not (initial_guess and np.any(x0)):
+    rungs = _RUNGS
+    if not (initial_guess and np.any(x0)):
         # Cold start: undamped NR from a flat guess mostly oscillates
         # its full cap away before the damped rung redoes the work, so
         # the cheap rung only pays for itself on warm starts.
-        ladder = ladder.without("plain")
+        rungs = _RUNGS[1:]
     solve_started = time.perf_counter()
     with obs_span(
         f"dc:{circuit.name}", category="sim",
         block=block, nodes=system.n_nodes,
     ) as solve_span:
         try:
-            solved, ladder_trace = ladder.climb()
+            x, attempts = _climb(rungs, system, x0, max_iterations, budget, block)
         except ConvergenceError as exc:
             metric_count("dc.failures")
             metric_count("dc.newton.iterations", n=exc.iterations, rung="failed")
@@ -668,95 +607,23 @@ def operating_point(
             if trace is not None:
                 trace.ladder(block, exc.rung or "?", f"exhausted: {exc}")
             raise
-        solve_span.set("iterations", ladder_trace.total_iterations)
-        solve_span.set("rung", ladder_trace.succeeded_on())
-        _count_solve(
-            (attempt.rung, attempt.iterations) for attempt in ladder_trace.attempts
-        )
+        total = _count_solve(attempts)
+        solve_span.set("iterations", total)
+        solve_span.set("rung", attempts[-1][0])
         metric_observe(
             "dc.solve_ms",
             (time.perf_counter() - solve_started) * 1e3,
             bounds=LATENCY_BUCKETS_MS,
             status="ok",
         )
-    if trace is not None and len(ladder_trace.attempts) > 1:
-        for attempt in ladder_trace.attempts:
-            outcome = "converged" if attempt.ok else f"failed ({attempt.error})"
+    if trace is not None and len(attempts) > 1:
+        for rung, iterations, error in attempts:
+            outcome = "converged" if error is None else f"failed ({error})"
             trace.ladder(
-                block,
-                attempt.rung,
-                f"attempt {attempt.attempt}: {outcome} "
-                f"after {attempt.iterations} iterations",
+                block, rung, f"attempt 1: {outcome} after {iterations} iterations"
             )
-    result = system.package_result(solved.x, ladder_trace.total_iterations)
+    result = system.package_result(x, total)
     if cache is not None:
         cache.put("op", op_key, _op_to_payload(result))
     return result
 
-
-def stacked_operating_points(
-    circuit: Circuit,
-    processes: Mapping[str, ProcessParameters],
-    initial_guess: Optional[Dict[str, float]] = None,
-    max_iterations: int = 150,
-) -> Dict[str, OperatingPointResult]:
-    """DC operating points of one circuit on several processes at once.
-
-    Every process's system runs the rung a solo :func:`operating_point`
-    tries first (plain NR from a warm guess, damped NR from a cold one)
-    in one :func:`newton_batch`, so a dense batch shares one stacked LU
-    per iteration and a corner that converges there reports exactly the
-    voltages and iteration count of its solo solve.  A corner that fails
-    that rung climbs the full solo ladder.  The op cache is not used.
-
-    Args:
-        circuit: the netlist, shared by every corner.
-        processes: label -> process parameters (e.g. corner name ->
-            cornered process).
-        initial_guess / max_iterations: as for :func:`operating_point`.
-
-    Returns:
-        label -> converged :class:`OperatingPointResult`, one per entry
-        of ``processes`` (same labels, same order).
-    """
-    labels = list(processes)
-    if not labels:
-        return {}
-    circuit.validate()
-    systems = [MnaSystem(circuit, processes[label]) for label in labels]
-    x0 = _initial_vector(systems[0], initial_guess)
-    rung = "plain" if initial_guess and np.any(x0) else "damped"
-    results: Dict[str, OperatingPointResult] = {}
-    with obs_span(
-        f"dc.corners:{circuit.name}",
-        category="sim",
-        corners=len(labels),
-        nodes=systems[0].n_nodes,
-    ) as corner_span:
-        outcomes = newton_batch(
-            systems,
-            [x0] * len(systems),
-            1e-12,
-            1.0,
-            block=f"dc.corners/{circuit.name}",
-            **_rung_settings(rung, max_iterations),
-        )
-        for label, system, outcome in zip(labels, systems, outcomes):
-            if isinstance(outcome, _Solved):
-                _count_solve([(rung, outcome.iterations)])
-                results[label] = system.package_result(outcome.x, outcome.iterations)
-        corner_span.set("batched", len(results))
-        corner_span.set("fallback", len(labels) - len(results))
-        metric_count("dc.corner_batch.solves", n=len(results))
-    for label in labels:
-        if label not in results:
-            # Failed its first rung in the batch: the full escalation
-            # ladder takes over for this corner alone.
-            metric_count("dc.corner_batch.fallbacks")
-            results[label] = operating_point(
-                circuit,
-                processes[label],
-                initial_guess=initial_guess,
-                max_iterations=max_iterations,
-            )
-    return {label: results[label] for label in labels}

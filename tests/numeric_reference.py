@@ -26,8 +26,8 @@ so the differential suites can pit the two against each other:
 
 :func:`reference_backend` swaps all of them into the live simulator at
 once, so a whole pipeline -- ``operating_point``,
-``ac_analysis``, ``verify_opamp``, a corner batch -- can be replayed on
-the reference and compared byte for byte.  It is a context manager for
+``ac_analysis``, ``verify_opamp`` -- can be replayed on the reference
+and compared byte for byte.  It is a context manager for
 library code; pytest tests use the ``monkeypatch`` form,
 :func:`patch_reference_backend`.
 """

@@ -8,7 +8,6 @@ mismatch, unreadable file) must degrade to a recompute and be counted.
 
 import hashlib
 import json
-import os
 
 import pytest
 

@@ -1,7 +1,5 @@
 """Tests for the closed-loop application layer."""
 
-import math
-
 import pytest
 
 from repro.applications import (

@@ -6,7 +6,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from repro.circuit import GROUND, Circuit
 from repro.errors import BudgetExceeded, ConvergenceError
+from repro.kb.trace import DesignTrace
 from repro.process import CMOS_5UM
 from repro.resilience import Budget, inject
 from repro.simulator import operating_point
-from repro.simulator.dc import build_dc_ladder, newton_solve
-from repro.simulator.mna import MnaSystem
+from repro.simulator.dc import newton_solve
 
 
 class _FakeSystem:
@@ -235,22 +235,16 @@ class TestLadderDeterminism:
         rungs in the same order with identical iteration counts."""
 
         def climb_once():
-            c = _mos_testbench()
-            system = MnaSystem(c, CMOS_5UM)
-            x0 = np.zeros(system.size)
-            ladder = build_dc_ladder(system, x0)
+            trace = DesignTrace()
             with inject("dc.newton", at_hit=1, times=2):
-                solved, trace = ladder.climb()
-            return solved, trace
+                op = operating_point(_mos_testbench(), CMOS_5UM, trace=trace)
+            return op, [(e.step, e.detail) for e in trace.events if e.kind == "ladder"]
 
-        (sol_a, trace_a), (sol_b, trace_b) = climb_once(), climb_once()
-        assert trace_a.rungs_tried == trace_b.rungs_tried
-        assert trace_a.succeeded_on() == trace_b.succeeded_on()
-        assert trace_a.total_iterations == trace_b.total_iterations
-        assert [a.iterations for a in trace_a.attempts] == [
-            b.iterations for b in trace_b.attempts
-        ]
-        assert np.array_equal(sol_a.x, sol_b.x)
+        (op_a, history_a), (op_b, history_b) = climb_once(), climb_once()
+        assert [rung for rung, _ in history_a] == ["damped", "gmin", "source"]
+        assert history_a == history_b
+        assert op_a.iterations == op_b.iterations
+        assert op_a.voltages == op_b.voltages
 
     @given(at_hit=st.integers(min_value=1, max_value=3))
     @settings(max_examples=6, deadline=None)

@@ -16,9 +16,8 @@ hypothesis-generated random circuits -- and asserts:
 * solver-counter parity (``dc.lu_solves``, ``dc.newton.iterations``) so
   the vectorized path provably performs the *same* Newton trajectory,
   not merely a nearby one;
-* AC, noise, mismatch and transient parity end to end;
-* corner-batched solves (:func:`repro.batch.corner_operating_points`)
-  matching per-corner solo solves.
+* AC, noise, mismatch and transient parity end to end, and DC
+  parity on every process corner.
 """
 
 from pathlib import Path
@@ -29,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.simulator
-from repro.batch import corner_operating_points
 from repro.circuit import GROUND, Circuit
 from repro.circuit.elements import VoltageSource
 from repro.circuit.netlist_io import parse_deck
@@ -389,7 +387,7 @@ class TestAnalysisParity:
 
 
 # ---------------------------------------------------------------------------
-# Corner-batched evaluation vs. per-corner solo solves.
+# Process corners: the solver trajectory on every corner's models.
 # ---------------------------------------------------------------------------
 
 
@@ -397,32 +395,13 @@ def _corner_process(corner):
     return CMOS_5UM if corner == "typical" else CMOS_5UM.corner(corner)
 
 
-class TestCornerBatchParity:
-    def test_mesh_corners_match_solo(self):
-        circuit = _mesh_circuit(10)
-        circuit.add_mosfet(
-            "mload",
-            "n9_9",
-            "n9_9",
-            GROUND,
-            GROUND,
-            "nmos",
-            width=50e-6,
-            length=10e-6,
-        )
-        batched = corner_operating_points(circuit, CMOS_5UM)
-        assert set(batched) == {"typical", "fast", "slow"}
-        for corner, result in batched.items():
-            solo = operating_point(circuit, _corner_process(corner))
-            assert result.voltages == solo.voltages
-            assert result.iterations == solo.iterations
-
+class TestCornerParity:
     def test_diode_loaded_mesh_corners_match_reference(self):
         """A 16x16 mesh with a diagonal of diode-connected NMOS loads
-        (so Newton iterates) through the corner batch: the vectorized
-        path repeats the scalar reference's trajectory exactly -- same
-        voltages, iterations and ``dc.*`` counters, one LU solve per
-        Newton iteration."""
+        (so Newton iterates), solved on each process corner: the
+        vectorized path repeats the scalar reference's trajectory
+        exactly -- same voltages, iterations and ``dc.*`` counters, one
+        LU solve per Newton iteration."""
         circuit = _mesh_circuit(16)
         for m in range(1, 9):
             circuit.add_mosfet(
@@ -439,7 +418,10 @@ class TestCornerBatchParity:
         def run():
             tracer = Tracer()
             with tracer.activate():
-                results = corner_operating_points(circuit, CMOS_5UM)
+                results = {
+                    corner: operating_point(circuit, _corner_process(corner))
+                    for corner in ("typical", "fast", "slow")
+                }
             counters = {
                 key: value
                 for key, value in tracer.metrics.snapshot()["counters"].items()
@@ -450,62 +432,12 @@ class TestCornerBatchParity:
         vectorized, vec_counters, metrics = run()
         with reference_backend():
             reference, ref_counters, _ = run()
-        assert set(vectorized) == {"typical", "fast", "slow"}
         for corner, result in reference.items():
             assert vectorized[corner].voltages == result.voltages
             assert vectorized[corner].iterations == result.iterations
         assert vec_counters == ref_counters
         lu_solves = metrics.counter_total("dc.lu_solves")
         assert lu_solves == metrics.counter_total("dc.newton.iterations") > 0
-
-    def test_dense_sized_corners_match_solo_exactly(self, corpus):
-        circuit = corpus["testcase_A"]
-        batched = corner_operating_points(circuit, CMOS_5UM)
-        for corner, result in batched.items():
-            solo = operating_point(circuit, _corner_process(corner))
-            assert result.voltages == solo.voltages
-            assert result.iterations == solo.iterations
-
-    def test_warm_started_corners_match_solo_exactly(self, corpus):
-        """A warm guess puts both paths on the plain rung first."""
-        circuit = corpus["testcase_B"]
-        guess = operating_point(circuit, CMOS_5UM).voltages
-        batched = corner_operating_points(circuit, CMOS_5UM, initial_guess=guess)
-        for corner, result in batched.items():
-            solo = operating_point(
-                circuit, _corner_process(corner), initial_guess=guess
-            )
-            assert result.voltages == solo.voltages
-            assert result.iterations == solo.iterations
-
-    def test_corner_solves_count_like_solo_solves(self, corpus):
-        circuit = corpus["testcase_C"]
-        counters = ("dc.solves", "dc.lu_solves", "dc.newton.iterations")
-
-        def totals(solve):
-            tracer = Tracer()
-            with tracer.activate():
-                solve()
-            return {name: tracer.metrics.counter_total(name) for name in counters}
-
-        batched = totals(lambda: corner_operating_points(circuit, CMOS_5UM))
-        solo = totals(
-            lambda: [
-                operating_point(circuit, _corner_process(corner))
-                for corner in ("typical", "fast", "slow")
-            ]
-        )
-        assert batched == solo
-        assert batched["dc.solves"] == 3
-
-    def test_reference_backend_corners_match(self, corpus):
-        circuit = corpus["testcase_C"]
-        vectorized = corner_operating_points(circuit, CMOS_5UM)
-        with reference_backend():
-            reference = corner_operating_points(circuit, CMOS_5UM)
-        for corner, result in reference.items():
-            assert vectorized[corner].voltages == result.voltages
-            assert vectorized[corner].iterations == result.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for the operating-point report."""
 
-import pytest
-
 from repro.circuit import GROUND, Circuit
 from repro.process import CMOS_5UM
 from repro.simulator import op_report, operating_point

@@ -1,7 +1,5 @@
 """Tests for the op amp designers: compensation, styles, selection."""
 
-import math
-
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec, synthesize

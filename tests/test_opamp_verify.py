@@ -317,6 +317,46 @@ class TestDeviceWorkPerVerify:
             "in_loop": 0,
         }
 
+    @pytest.mark.parametrize(
+        "case, plain, damped, damped_solves",
+        [
+            ("amp_a", 151, 297, 21),
+            ("amp_b", 170, 535, 29),
+            ("amp_c", 163, 876, 30),
+        ],
+    )
+    def test_solver_trajectory(self, request, case, plain, damped, damped_solves):
+        """Every DC solve of one verify takes the same rungs for the same
+        iterations: a warm plain rung 39 times (failing once), the damped
+        rung for the rest, never a homotopy."""
+        tracer = Tracer()
+        with tracer.activate():
+            verify_opamp(request.getfixturevalue(case))
+        counters = tracer.metrics.snapshot()["counters"]
+        solver = {
+            key: value
+            for key, value in counters.items()
+            if key.split("{")[0]
+            in (
+                "dc.lu_solves",
+                "dc.newton.iterations",
+                "ladder.attempts",
+                "ladder.iterations",
+                "transient.timesteps",
+            )
+        }
+        assert solver == {
+            "dc.lu_solves": plain + damped,
+            "dc.newton.iterations{rung=plain}": plain,
+            "dc.newton.iterations{rung=damped}": damped,
+            "ladder.attempts{outcome=ok,rung=plain}": 39,
+            "ladder.attempts{outcome=ok,rung=damped}": damped_solves,
+            "ladder.attempts{outcome=failed,rung=plain}": 1,
+            "ladder.iterations{rung=plain}": plain,
+            "ladder.iterations{rung=damped}": damped,
+            "transient.timesteps": 600,
+        }
+
 
 class TestFaultedTimestep:
     """A transient timestep is a DC Newton run: it passes the

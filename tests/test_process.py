@@ -1,7 +1,5 @@
 """Tests for repro.process: parameters, technology files, built-ins."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

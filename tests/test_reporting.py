@@ -1,10 +1,8 @@
 """Tests for the reporting package (tables, gain-phase, area-gain)."""
 
-import numpy as np
 import pytest
 
 from repro import CMOS_5UM, OpAmpSpec, synthesize
-from repro.opamp.designer import design_style
 from repro.reporting import (
     area_gain_sweep,
     gain_phase_series,

@@ -1,8 +1,9 @@
-"""Unit tests for the resilience layer: budgets, retry ladder, failure
-taxonomy, and the fault-injection harness itself."""
+"""Unit tests for the resilience layer: budgets, the DC solver's retry
+ladder, failure taxonomy, and the fault-injection harness itself."""
 
 import pytest
 
+from repro.circuit import GROUND, Circuit
 from repro.errors import (
     BudgetExceeded,
     ConvergenceError,
@@ -10,20 +11,22 @@ from repro.errors import (
     PlanError,
     SynthesisError,
 )
+from repro.kb.trace import DesignTrace
+from repro.obs import Tracer
+from repro.process import CMOS_5UM
 from repro.resilience import (
     Budget,
     FailureKind,
     FailureReport,
     FaultSpec,
-    LadderExhausted,
-    RetryLadder,
-    Rung,
     classify_exception,
     current_budget,
     inject,
     registered_sites,
 )
 from repro.resilience.faults import FaultInjector, active_injector, fault_point
+from repro.simulator import dc as dc_module
+from repro.simulator import operating_point
 
 
 class FakeClock:
@@ -136,103 +139,128 @@ class TestBudget:
 # ----------------------------------------------------------------------
 # Retry ladder
 # ----------------------------------------------------------------------
+def _nmos_testbench():
+    c = Circuit("nmos_tb")
+    c.add_vsource("vdd", "d", GROUND, dc=5.0)
+    c.add_vsource("vg", "g", GROUND, dc=3.0)
+    c.add_resistor("rd", "d", "drain", 10e3)
+    c.add_mosfet(
+        "m1", "drain", "g", GROUND, GROUND, "nmos", width=50e-6, length=10e-6
+    )
+    return c
+
+
+#: A warm start near the testbench's operating point (drain ~2.55 V).
+_WARM = {"d": 5.0, "g": 3.0, "drain": 2.0}
+
+
+def _climb(**kwargs):
+    """One traced DC solve of the NMOS testbench: (result or error,
+    ``ladder.*`` counters, the design trace's ladder events)."""
+    tracer, trace = Tracer(), DesignTrace()
+    with tracer.activate():
+        try:
+            outcome = operating_point(
+                _nmos_testbench(), CMOS_5UM, trace=trace, **kwargs
+            )
+        except (ConvergenceError, BudgetExceeded) as exc:
+            outcome = exc
+    counters = {
+        key: value
+        for key, value in tracer.metrics.snapshot()["counters"].items()
+        if key.startswith("ladder.")
+    }
+    events = [(e.step, e.detail) for e in trace.events if e.kind == "ladder"]
+    return outcome, counters, events
+
+
 class TestRetryLadder:
-    def make_ladder(self, fail_first_n_rungs, attempts_per_rung=1):
-        calls = []
-
-        def make_rung(i):
-            def run(last):
-                calls.append((i, last))
-                if i < fail_first_n_rungs:
-                    raise ConvergenceError(f"rung {i} failed", iterations=10)
-                return f"result-{i}"
-
-            return Rung(f"r{i}", run, attempts=attempts_per_rung)
-
-        ladder = RetryLadder(
-            [make_rung(i) for i in range(3)], retry_on=(ConvergenceError,)
-        )
-        return ladder, calls
+    """The DC solve's fixed escalation, plain -> damped -> gmin ->
+    source, driven through :func:`operating_point`."""
 
     def test_first_rung_success_skips_rest(self):
-        ladder, calls = self.make_ladder(0)
-        result, trace = ladder.climb()
-        assert result == "result-0"
-        assert len(calls) == 1
-        assert trace.succeeded_on() == "r0"
+        result, counters, events = _climb(initial_guess=_WARM)
+        assert result.iterations == 2
+        assert counters == {
+            "ladder.attempts{outcome=ok,rung=plain}": 1,
+            "ladder.iterations{rung=plain}": 2,
+        }
+        assert events == []  # one attempt: no escalation to record
 
-    def test_escalation_chains_causes(self):
-        ladder, calls = self.make_ladder(2)
-        result, trace = ladder.climb()
-        assert result == "result-2"
-        assert trace.rungs_tried == ["r0", "r1", "r2"]
-        # Rung 2 received rung 1's error, whose cause is rung 0's.
-        _, last = calls[2]
-        assert "rung 1" in str(last)
-        assert "rung 0" in str(last.__cause__)
+    def test_cold_start_skips_plain(self):
+        result, counters, _ = _climb()
+        assert counters == {
+            "ladder.attempts{outcome=ok,rung=damped}": 1,
+            "ladder.iterations{rung=damped}": result.iterations,
+        }
+
+    def test_escalation_chains_causes(self, monkeypatch):
+        raised = []
+
+        def recording(strategy):
+            def run(*args):
+                try:
+                    return strategy(*args)
+                except ConvergenceError as exc:
+                    raised.append(exc)
+                    raise
+
+            return run
+
+        monkeypatch.setattr(
+            dc_module,
+            "_RUNGS",
+            tuple((name, recording(strategy)) for name, strategy in dc_module._RUNGS),
+        )
+        with inject("dc.newton", at_hit=1, times=2):
+            result, _, events = _climb()
+        assert [rung for rung, _ in events] == ["damped", "gmin", "source"]
+        fault = "injected fault: Newton refuses to converge"
+        assert [detail for _, detail in events] == [
+            f"attempt 1: failed ({fault}) after 0 iterations",
+            "attempt 1: failed (gmin stepping stalled at gmin=0.001: "
+            f"{fault}) after 0 iterations",
+            f"attempt 1: converged after {result.iterations} iterations",
+        ]
+        damped, gmin = raised
+        assert damped.__cause__ is None  # the first rung has nothing to chain
+        # gmin stepping chains its own stalled step, not the damped rung.
+        assert str(gmin.__cause__) == fault and gmin.__cause__ is not damped
+
+        # A rung failing without a cause of its own is chained to the
+        # previous rung's failure.
+        raised.clear()
+        with inject("dc.newton", at_hit=1, times=2):
+            _climb(initial_guess=_WARM)
+        plain, damped = raised
+        assert damped.__cause__ is plain
 
     def test_exhaustion_raises_with_chain_and_iterations(self):
-        def always_fail(last):
-            raise ConvergenceError("nope", iterations=7)
-
-        ladder = RetryLadder(
-            [Rung("a", always_fail), Rung("b", always_fail, attempts=2)],
-            retry_on=(ConvergenceError,),
+        error, counters, events = _climb(max_iterations=2)
+        assert type(error) is ConvergenceError
+        assert error.rung == "source"
+        assert str(error).startswith(
+            "dc/nmos_tb: DC operating point failed after damped -> gmin -> "
+            f"source ({error.iterations} total iterations): source stepping"
         )
-        with pytest.raises(LadderExhausted) as excinfo:
-            ladder.climb()
-        err = excinfo.value
-        assert isinstance(err.__cause__, ConvergenceError)
-        assert err.trace.total_iterations == 21  # 1 + 2 attempts x 7
-        assert [a.rung for a in err.trace.attempts] == ["a", "b", "b"]
-
-    def test_custom_exhausted_factory(self):
-        def fail(last):
-            raise ConvergenceError("x", iterations=3)
-
-        def exhausted(trace, last):
-            return ConvergenceError(
-                "total collapse", iterations=trace.total_iterations
-            )
-
-        ladder = RetryLadder(
-            [Rung("only", fail)], retry_on=(ConvergenceError,), exhausted=exhausted
-        )
-        with pytest.raises(ConvergenceError) as excinfo:
-            ladder.climb()
-        assert excinfo.value.iterations == 3
-        assert isinstance(excinfo.value.__cause__, ConvergenceError)
+        per_rung = [
+            counters[f"ladder.iterations{{rung={rung}}}"]
+            for rung in ("damped", "gmin", "source")
+        ]
+        assert per_rung[0] == 2
+        assert error.iterations == sum(per_rung) == 16
+        assert isinstance(error.__cause__, ConvergenceError)
+        assert error.__cause__.rung == "source"
+        assert events == [("source", f"exhausted: {error}")]
 
     def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def boom(last):
-            calls.append(1)
-            raise ValueError("bug, not convergence")
-
-        ladder = RetryLadder(
-            [Rung("a", boom), Rung("b", boom)], retry_on=(ConvergenceError,)
-        )
-        with pytest.raises(ValueError):
-            ladder.climb()
-        assert len(calls) == 1
-
-    def test_declarative_surgery(self):
-        ladder, _ = self.make_ladder(0)
-        extended = ladder.extended(Rung("extra", lambda last: "x"), after="r0")
-        assert extended.rung_names() == ["r0", "extra", "r1", "r2"]
-        trimmed = extended.without("r1")
-        assert trimmed.rung_names() == ["r0", "extra", "r2"]
-        # The original is untouched (ladders are value-like).
-        assert ladder.rung_names() == ["r0", "r1", "r2"]
-
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(ValueError):
-            RetryLadder([])
-
-    def test_duplicate_rung_names_rejected(self):
-        with pytest.raises(ValueError):
-            RetryLadder([Rung("a", lambda last: 1), Rung("a", lambda last: 2)])
+        budget = Budget(newton_iterations=3, label="edge").start()
+        error, counters, events = _climb(budget=budget)
+        assert isinstance(error, BudgetExceeded)
+        # The budget tripped inside the damped rung: no attempt was
+        # counted, so no gmin or source rung was tried.
+        assert counters == {}
+        assert events == []
 
 
 # ----------------------------------------------------------------------

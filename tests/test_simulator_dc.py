@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.circuit import GROUND, Circuit
-from repro.errors import ConvergenceError, SimulationError
+from repro.errors import SimulationError
 from repro.process import CMOS_3UM, CMOS_5UM
 from repro.simulator import MnaSystem, operating_point
 from repro.simulator.dc import _op_cache_key

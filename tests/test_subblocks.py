@@ -6,8 +6,6 @@ netlist, bias it with the in-repo simulator, and check the measured
 currents/small-signal values against the designer's predictions.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +16,6 @@ from repro.process import CMOS_5UM
 from repro.simulator import operating_point
 from repro.subblocks import (
     BiasSpec,
-    DesignedMirror,
     DiffPairSpec,
     GmStageSpec,
     LevelShifterSpec,
